@@ -4,7 +4,7 @@ Clean-builds one generated project at each requested job count and
 reports wall time, speedup over ``-j 1``, and parallel efficiency
 (speedup / jobs).  Every parallel point is also checked against the
 serial build's linked image — the sweep doubles as a determinism
-harness for the snapshot/delta state-merge protocol.
+harness for the per-unit state shards handed to workers.
 
 On an N-core machine the process executor should approach N× on the
 compile phase; the thread executor mostly measures protocol overhead

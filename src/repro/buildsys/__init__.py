@@ -11,16 +11,16 @@ instead of — a competent build system:
   missing-header tolerance.
 - :mod:`repro.buildsys.builddb` — the content-digest
   :class:`BuildDatabase`: per-unit digests, dependency digests, cached
-  object JSON, and the embedded live :class:`~repro.core.state.CompilerState`
-  (the compiler's dormancy records persist *inside* the build DB, so one
-  file carries everything a rebuild needs).
+  object JSON, and a reference to each unit's dormancy-state shard (a
+  :class:`~repro.core.state.CompilerState` stored beside the DB, read
+  only when the unit is dirty).
 - :mod:`repro.buildsys.incremental` — :class:`IncrementalBuilder`: the
   scheduler deciding, per unit, rebuild vs reuse, compiling via
   :mod:`repro.driver` and linking the result.
 - :mod:`repro.buildsys.parallel` — ``make -j`` for dirty units:
   :class:`BuildOptions` (job count, executor kind) and the worker-pool
-  machinery; stateful builds stay deterministic via the compiler
-  state's snapshot/delta-merge protocol.
+  machinery; each worker compiles against its own unit's shard, so
+  stateful builds are deterministic at any ``-j``.
 - :mod:`repro.buildsys.report` — :class:`BuildReport`: per-build
   accounting (recompiles, bypass statistics, wall/work totals, worker
   attribution) with a stable JSON schema
@@ -32,7 +32,7 @@ instead of — a competent build system:
   decision-identical to :meth:`BuildDatabase.up_to_date`.
 - :mod:`repro.buildsys.audit` — the fingerprint-collision audit behind
   ``reprobuild regress --audit``: re-execute a sample of bypassed
-  (fingerprint, pass) pairs against a state snapshot and confirm the
+  (fingerprint, pass) pairs against shard snapshots and confirm the
   dormancy records told the truth.
 """
 

@@ -16,8 +16,9 @@ bypassed**, and confirms the record told the truth:
   substitutes for a re-hash after the pass runs) is confirmed by
   re-hashing the real IR and comparing.
 
-The audit runs against a throwaway :meth:`CompilerState.snapshot` so the
-live state never sees audit-mode writes, and only supports the
+Each audited unit compiles against a throwaway
+:meth:`CompilerState.snapshot` of its own shard, so the stored shards
+never see audit-mode writes.  The audit only supports the
 fine-grained policy (coarse records summarize whole pipelines, so there
 is no per-pass record to check).  Expected steady-state result on a
 healthy store: every sampled pair confirmed, zero mismatches — the
@@ -30,8 +31,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.buildsys.builddb import BuildDatabase, ShardError
 from repro.core.policies import SkipPolicy
-from repro.core.state import CompilerState
 from repro.core.stateful import StatefulPassManager
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
@@ -147,7 +148,9 @@ class AuditingStatefulPassManager(StatefulPassManager):
         elif changed and reused is not None and not reused.dormant:
             # The production manager trusted the record's fingerprint_out
             # instead of re-hashing; here we pay for the hash and check.
-            actual = fingerprint_function(fn, mode=self.state.fingerprint_mode)
+            actual = fingerprint_function(
+                fn, mode=self.state.fingerprint_mode, pure=self._pure
+            )
             self._result.chain_checked += 1
             if actual != self._fp:
                 self._mismatch(
@@ -184,18 +187,21 @@ def audit_fingerprint_collisions(
     provider: FileProvider,
     unit_paths: list[str],
     options: CompilerOptions,
-    state: CompilerState,
+    db: BuildDatabase,
     *,
     sample: int = 20,
     seed: int = 0,
 ) -> CollisionAuditResult:
     """Re-execute bypassed (fingerprint, pass) pairs for sampled units.
 
-    Units are visited in seeded-shuffle order; whole units are audited
-    until at least ``sample`` dormant pairs have been re-executed (or
-    the project runs out of units).  Compile failures during the audit
-    are recorded as mismatch entries of kind ``compile-error`` — an
-    unbuildable unit cannot vouch for its records.
+    Each unit is audited against its own shard in ``db``.  Units are
+    visited in seeded-shuffle order; whole units are audited until at
+    least ``sample`` dormant pairs have been re-executed (or the project
+    runs out of units).  Units without a readable shard have nothing
+    to audit and are skipped.  Compile failures during the audit are
+    recorded as mismatch entries of kind ``compile-error`` — an
+    unbuildable unit cannot vouch for its records.  A shard written for
+    another pipeline or fingerprint mode raises ``ValueError``.
     """
     if not options.stateful:
         raise ValueError("collision audit requires a stateful build")
@@ -203,23 +209,29 @@ def audit_fingerprint_collisions(
         raise ValueError("collision audit requires the fine-grained policy")
     result = CollisionAuditResult()
     start = time.perf_counter()
-    audit_state = state.snapshot()
-    audit_state.begin_build()
-    compiler = _AuditingCompiler(provider, options, audit_state, result)
-    if not state.compatible_with(
-        compiler.pipeline_signature, options.fingerprint_mode
-    ):
-        raise ValueError(
-            "compiler state is incompatible with the audit compiler "
-            "(different pipeline or fingerprint mode); re-run the audit "
-            "with the same -O level and --fingerprint-mode as the build"
-        )
+    compiler = _AuditingCompiler(provider, options, None, result)
+    signature = compiler.pipeline_signature
 
     order = list(unit_paths)
     random.Random(seed).shuffle(order)
     for path in order:
         if result.audited >= sample:
             break
+        try:
+            state = db.read_state(path)
+        except ShardError:
+            state = None
+        if state is None:
+            continue
+        if not state.compatible_with(signature, options.fingerprint_mode):
+            raise ValueError(
+                f"compiler state of {path} is incompatible with the audit "
+                "compiler (different pipeline or fingerprint mode); re-run "
+                "the audit with the same -O level and --fingerprint-mode as "
+                "the build"
+            )
+        compiler.state = state.snapshot()
+        compiler.state.begin_build()
         result.units.append(path)
         try:
             compiler.compile_file(path)

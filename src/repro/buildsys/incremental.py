@@ -13,10 +13,10 @@ variants plug into.  Per build it:
 3. compiles dirty units through :class:`repro.driver.Compiler` —
    stateless or stateful per :class:`~repro.driver.CompilerOptions`,
    serially or on a worker pool per :class:`~repro.buildsys.parallel.BuildOptions`
-   (``jobs > 1`` runs the make ``-j`` analogue; for stateful builds each
-   worker compiles against a read-only state snapshot and the driver
-   merges the returned deltas in unit order, so results are
-   deterministic regardless of scheduling);
+   (``jobs > 1`` runs the make ``-j`` analogue); a stateful compile
+   reads only its own unit's dormancy-state shard from the build
+   database and leaves a new shard behind, so units never share state
+   and results are independent of scheduling;
 4. reuses cached object JSON for up-to-date units;
 5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`.
 
@@ -36,9 +36,9 @@ reports into the one registry, whose snapshot lands in
 
 Failure handling is transactional per unit: when a dirty unit fails to
 compile, every unit that already compiled successfully is still
-recorded in the database (and, stateful, its records merged into the
-live state) before the error propagates — a rebuild after the fix
-recompiles only the broken unit.
+recorded in the database (with its new shard, when stateful) before
+the error propagates — a rebuild after the fix recompiles only the
+broken unit.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from repro.buildsys.deps import DependencyScanner, DependencySnapshot
 from repro.buildsys.explain import rebuild_reason
 from repro.buildsys.parallel import BuildOptions, UnitOutcome, compile_units
 from repro.buildsys.report import BuildReport, UnitBuildResult
+from repro.core.state import CompilerState
 from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
@@ -95,27 +96,26 @@ class IncrementalBuilder:
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profiler = profiler
+        #: Why dormancy state was dropped during the last build, one
+        #: line per unit (or per legacy DB); empty on a healthy store.
+        self.discarded: list[str] = []
 
     # -- state plumbing -----------------------------------------------------
 
-    def _attach_state(self, compiler: Compiler) -> None:
-        """Wire the DB's live compiler state into a stateful compiler.
+    def _unit_state(self, compiler: Compiler, path: str) -> CompilerState:
+        """The dirty unit's shard, advanced one compile tick.
 
-        An incompatible state (different pipeline signature or
-        fingerprint mode — e.g. the user changed ``-O`` levels) is
-        discarded wholesale: stale dormancy records must never be
-        consulted.  The compiler's fresh state replaces it in the DB.
+        An incompatible or unreadable shard (e.g. the user changed
+        ``-O`` levels) comes back empty and is noted in the DB's
+        ``discarded`` list: stale records must never be consulted.
         """
-        state = self.db.live_state
-        assert compiler.state is not None
-        if state is not None and state.compatible_with(
-            compiler.pipeline_signature, self.options.fingerprint_mode
-        ):
-            compiler.state = state
-        else:
-            self.db.live_state = compiler.state
-        compiler.state.attach_metrics(self.metrics)
-        compiler.state.begin_build()
+        state = self.db.unit_state(
+            path,
+            pipeline_signature=compiler.pipeline_signature,
+            fingerprint_mode=self.options.fingerprint_mode,
+        )
+        state.begin_build()
+        return state
 
     # -- the build ----------------------------------------------------------
 
@@ -130,6 +130,7 @@ class IncrementalBuilder:
         """
         build_start = time.perf_counter()
         report = BuildReport()
+        gc_reclaimed_before = self.db.gc_reclaimed_total
 
         scan_start = time.perf_counter()
         scanner = DependencyScanner(self.provider, metrics=self.metrics)
@@ -140,8 +141,6 @@ class IncrementalBuilder:
         self.metrics.observe("build.scan_time", report.scan_time)
 
         compiler = Compiler(self.provider, self.options, tracer=self.tracer)
-        if self.options.stateful:
-            self._attach_state(compiler)
 
         dirty: list[str] = []
         for path in self.unit_paths:
@@ -183,31 +182,30 @@ class IncrementalBuilder:
             self.tracer.add("compile", "phase", phase_start, report.compile_phase_time)
         self.metrics.observe("build.compile_phase_time", report.compile_phase_time)
 
-        if self.options.stateful and compiler.state is not None:
-            if error is None:
-                gc_start = time.perf_counter()
-                with self.profiler.phase("state-gc"):
-                    compiler.state.collect_garbage()
-                if self.tracer.enabled:
-                    self.tracer.add(
-                        "state-gc", "phase", gc_start, time.perf_counter() - gc_start
-                    )
-            self.db.live_state = compiler.state
-            size = compiler.state.size_summary()
-            report.state_records = size["records"]
-            report.state_bytes = size["bytes"]
-            self.metrics.set_gauge("state.records", size["records"])
-            self.metrics.set_gauge("state.bytes", size["bytes"])
-            self.metrics.set_gauge("state.gc_runs", size["gc_runs"])
-            self.metrics.set_gauge("state.gc_reclaimed_total", size["gc_reclaimed_total"])
-            self.metrics.set_gauge("state.gc_reclaimed_last", size["gc_reclaimed_last"])
+        self.db.prune(self.unit_paths)
+        if self.options.stateful:
+            # Sized from the per-unit records: no shard is read or
+            # serialized to measure the state.
+            report.state_records = self.db.state_records
+            report.state_bytes = self.db.state_bytes
+            self.metrics.set_gauge("state.records", report.state_records)
+            self.metrics.set_gauge("state.bytes", report.state_bytes)
+            self.metrics.set_gauge("state.gc_runs", self.db.gc_runs)
+            self.metrics.set_gauge("state.gc_reclaimed_total", self.db.gc_reclaimed_total)
+            self.metrics.set_gauge(
+                "state.gc_reclaimed_last", self.db.gc_reclaimed_total - gc_reclaimed_before
+            )
+        self.discarded = list(self.db.discarded)
+        self.db.discarded.clear()
+        if self.discarded:
+            self.metrics.inc("state.discarded", len(self.discarded))
+            for line in self.discarded:
+                logger.info("dormancy state discarded: %s", line)
 
         if error is not None:
             report.metrics = self.metrics.to_dict()
             report.profile = self.profiler.to_payload()
             raise error
-
-        self.db.prune(self.unit_paths)
 
         if link_output:
             start = time.perf_counter()
@@ -242,12 +240,15 @@ class IncrementalBuilder:
         report: BuildReport,
         objects: dict[str, ObjectFile],
     ) -> Exception | None:
-        """The classic in-process loop (``-j 1``), shared mutable state.
+        """The classic in-process loop (``-j 1``), one shard per unit.
 
         Returns the first failure instead of raising so the caller can
         finish the database bookkeeping before propagating it.
         """
         for path in dirty:
+            if self.options.stateful:
+                compiler.state = self._unit_state(compiler, path)
+                compiler.state.attach_metrics(self.metrics)
             start = time.perf_counter()
             try:
                 result = compiler.compile_file(path)
@@ -278,6 +279,7 @@ class IncrementalBuilder:
                 result.object_file.to_json(),
                 stats=stats.to_dict(),
                 wall_time=wall,
+                shard=compiler.state.finish_compile() if self.options.stateful else None,
             )
         return None
 
@@ -292,20 +294,19 @@ class IncrementalBuilder:
     ) -> Exception | None:
         """Worker-pool compilation with deterministic unit-order merging.
 
-        Workers compile against a read-only snapshot of the live state
-        and outcomes are folded back in translation-unit order — object
-        records, report entries, and state-delta merges are all
-        independent of completion order, which is what makes a ``-j N``
-        build reproducible.
+        Each worker gets its unit's shard and returns the new one;
+        outcomes are folded back in translation-unit order, so object
+        records, report entries and shards are independent of completion
+        order, which is what makes a ``-j N`` build reproducible.
         """
-        state_snapshot = None
-        if self.options.stateful and compiler.state is not None:
-            state_snapshot = compiler.state.snapshot()
+        shards = {}
+        if self.options.stateful:
+            shards = {path: self._unit_state(compiler, path) for path in dirty}
 
         outcomes = compile_units(
             self.provider,
             self.options,
-            state_snapshot,
+            shards,
             dirty,
             jobs=jobs,
             executor=self.build_options.executor,
@@ -322,7 +323,7 @@ class IncrementalBuilder:
                 if error is None:  # earliest failure in schedule order wins
                     error = self._outcome_error(outcome)
                 continue
-            self._merge_outcome(outcome, snapshots[path], report, objects, compiler)
+            self._merge_outcome(outcome, snapshots[path], report, objects)
         return error
 
     @staticmethod
@@ -339,7 +340,6 @@ class IncrementalBuilder:
         snapshot: DependencySnapshot,
         report: BuildReport,
         objects: dict[str, ObjectFile],
-        compiler: Compiler,
     ) -> None:
         """Fold one successful worker outcome into the build products."""
         report.bypass.merge(outcome.stats)
@@ -371,9 +371,8 @@ class IncrementalBuilder:
             stats=outcome.stats.to_dict(),
             wall_time=outcome.wall_time,
             worker=outcome.worker,
+            shard=outcome.shard,
         )
-        if outcome.delta is not None and compiler.state is not None:
-            compiler.state.merge_delta(outcome.delta)
 
     def _link(self, fresh: dict[str, ObjectFile]) -> LinkedImage:
         """Link fresh and cached objects in unit order."""

@@ -2,20 +2,19 @@
 
 The make/ninja lever the serial driver left on the table: once the
 scheduler knows which units are dirty, their compilations are
-independent *except* for the shared :class:`~repro.core.state.CompilerState`.
-This module runs them on a :mod:`concurrent.futures` worker pool and
-keeps statefulness safe with the snapshot/delta protocol:
+independent — each stateful compile reads and writes only its own
+unit's :class:`~repro.core.state.CompilerState` shard.  This module
+runs them on a :mod:`concurrent.futures` worker pool:
 
-1. the build driver advances the live state one build tick, then takes
-   one read-only :meth:`~repro.core.state.CompilerState.snapshot`;
-2. every worker compiles each of its units against a private copy of
-   that snapshot (never the live state), tracking the dormancy records
-   it creates or refreshes;
+1. the build driver loads each dirty unit's shard from the build
+   database and advances it one compile tick;
+2. each task ships one unit's path and shard to a worker, which
+   compiles against that shard, collects its garbage and serializes it;
 3. each unit's result travels back as a picklable :class:`UnitOutcome`
-   carrying the object JSON, the bypass statistics, and a
-   :class:`~repro.core.state.StateDelta`;
-4. the driver merges deltas into the live state in translation-unit
-   order — deterministic regardless of completion order.
+   carrying the object JSON, the bypass statistics and the new shard's
+   JSON;
+4. the driver records outcomes in translation-unit order —
+   deterministic regardless of completion order.
 
 Executors: ``process`` (the default; real CPU parallelism for this
 CPU-bound compiler), ``thread`` (no pickling, used automatically as a
@@ -44,7 +43,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 
-from repro.core.state import CompilerState, StateDelta
+from repro.core.state import CompilerState, SerializedShard
 from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError, Diagnostic
@@ -109,7 +108,7 @@ class UnitOutcome:
     Everything the build driver needs and nothing it doesn't: the
     object file as JSON (the same representation the build DB caches),
     pre-summarized statistics instead of the raw event log, and the
-    state delta instead of a whole mutated state.
+    unit's new shard in its stored form.
     """
 
     path: str
@@ -119,7 +118,8 @@ class UnitOutcome:
     wall_time: float = 0.0
     fingerprint_time: float = 0.0
     fingerprint_count: int = 0
-    delta: StateDelta | None = None
+    #: The unit's new dormancy-state shard (``None`` for stateless builds).
+    shard: SerializedShard | None = None
     #: Which worker compiled it: "main", "pid-<n>", or a thread name.
     worker: str = "main"
     #: The unit's metrics registry, merged into the build's by the driver.
@@ -151,11 +151,9 @@ class UnitOutcome:
 
 # -- the worker side ---------------------------------------------------------
 #
-# Process pools ship the (provider, options, state snapshot) triple once
-# per worker via the initializer instead of once per task; threads share
-# the module global directly.  Worker state is read-only: every task
-# takes its own copy of the snapshot so outcomes are independent of
-# which worker ran which unit.
+# Process pools ship the (provider, options) pair once per worker via
+# the initializer instead of once per task; threads share the module
+# global directly.  Shards travel per task: each belongs to one unit.
 
 _WORKER_CONTEXT: dict = {}
 
@@ -163,13 +161,11 @@ _WORKER_CONTEXT: dict = {}
 def _init_worker(
     provider: FileProvider,
     options: CompilerOptions,
-    state: CompilerState | None,
     trace: bool = False,
     profile: bool = False,
 ) -> None:
     _WORKER_CONTEXT["provider"] = provider
     _WORKER_CONTEXT["options"] = options
-    _WORKER_CONTEXT["state"] = state
     _WORKER_CONTEXT["trace"] = trace
     _WORKER_CONTEXT["profile"] = profile
 
@@ -191,12 +187,12 @@ def compile_unit(
     trace: bool = False,
     profile: bool = False,
 ) -> UnitOutcome:
-    """Compile one unit against a private state copy; never raises.
+    """Compile one unit against its own shard; never raises.
 
-    ``state`` is the build-wide snapshot (``None`` for stateless
-    builds); the copy taken here is what makes the outcome independent
-    of scheduling — the unit sees exactly the records that existed when
-    the build started, as the snapshot/delta protocol promises.
+    ``state`` is the unit's shard (``None`` for stateless builds); the
+    compile updates it in place, collects its garbage, and the outcome
+    carries it back serialized.  No other unit reads or writes it, so
+    the outcome is independent of scheduling.
 
     With ``trace=True`` the unit compiles under its own
     :class:`~repro.obs.trace.Tracer`; the spans (and the wall-clock
@@ -205,12 +201,8 @@ def compile_unit(
     callers-stripped stats table ships back in ``outcome.profile``.
     """
     outcome = UnitOutcome(path=path, worker=worker)
-    worker_state = None
-    if state is not None:
-        worker_state = state.snapshot()
-        worker_state.begin_delta_tracking()
     tracer = Tracer(track=worker) if trace else NULL_TRACER
-    compiler = Compiler(provider, options, state=worker_state, tracer=tracer)
+    compiler = Compiler(provider, options, state=state, tracer=tracer)
 
     profiler = None
     if profile:
@@ -246,20 +238,20 @@ def compile_unit(
     if result.overhead is not None:
         outcome.fingerprint_time = result.overhead.fingerprint_time
         outcome.fingerprint_count = result.overhead.fingerprint_count
-    if worker_state is not None:
-        outcome.delta = worker_state.extract_delta()
+    if state is not None:
+        outcome.shard = state.finish_compile()
     if trace:
         outcome.spans = tracer.spans
         outcome.epoch_wall = tracer.epoch_wall
     return outcome
 
 
-def _compile_unit_task(path: str) -> UnitOutcome:
-    """Pool entry point: compile ``path`` using the worker context."""
+def _compile_unit_task(path: str, state: CompilerState | None) -> UnitOutcome:
+    """Pool entry point: compile ``path`` against ``state`` using the worker context."""
     return compile_unit(
         _WORKER_CONTEXT["provider"],
         _WORKER_CONTEXT["options"],
-        _WORKER_CONTEXT["state"],
+        state,
         path,
         worker=_worker_name(),
         trace=_WORKER_CONTEXT.get("trace", False),
@@ -284,11 +276,18 @@ def _make_pool(executor: str, jobs: int, initargs: tuple) -> Executor:
 
 
 def _run_pool(
-    executor: str, jobs: int, initargs: tuple, paths: list[str]
+    executor: str,
+    jobs: int,
+    initargs: tuple,
+    paths: list[str],
+    shards: dict[str, CompilerState],
 ) -> dict[str, UnitOutcome]:
     outcomes: dict[str, UnitOutcome] = {}
     with _make_pool(executor, jobs, initargs) as pool:
-        futures = {pool.submit(_compile_unit_task, path): path for path in paths}
+        futures = {
+            pool.submit(_compile_unit_task, path, shards.get(path)): path
+            for path in paths
+        }
         for future in as_completed(futures):
             if future.cancelled():
                 continue
@@ -305,7 +304,7 @@ def _run_pool(
 def compile_units(
     provider: FileProvider,
     options: CompilerOptions,
-    state: CompilerState | None,
+    shards: dict[str, CompilerState],
     paths: list[str],
     *,
     jobs: int,
@@ -315,16 +314,18 @@ def compile_units(
 ) -> dict[str, UnitOutcome]:
     """Compile ``paths`` concurrently; returns outcomes keyed by path.
 
-    Failed units are present with diagnostics attached; units abandoned
-    after a failure are absent.  A process pool that cannot start or
-    dies (no fork in the sandbox, unpicklable provider) degrades to a
-    thread pool — compilation is deterministic and nothing has been
-    merged yet, so a full retry is safe.
+    ``shards`` maps each stateful unit to its shard (empty for
+    stateless builds).  Failed units are present with diagnostics
+    attached; units abandoned after a failure are absent.  A process
+    pool that cannot start or dies (no fork in the sandbox,
+    unpicklable provider) degrades to a thread pool — compilation is
+    deterministic and nothing has been recorded yet, so a full retry
+    is safe (process workers compile pickled copies of the shards).
     """
-    initargs = (provider, options, state, trace, profile)
+    initargs = (provider, options, trace, profile)
     if executor == "process":
         try:
-            return _run_pool("process", jobs, initargs, paths)
+            return _run_pool("process", jobs, initargs, paths, shards)
         except (BrokenExecutor, OSError):
-            return _run_pool("thread", jobs, initargs, paths)
-    return _run_pool("thread", jobs, initargs, paths)
+            return _run_pool("thread", jobs, initargs, paths, shards)
+    return _run_pool("thread", jobs, initargs, paths, shards)

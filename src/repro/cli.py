@@ -308,6 +308,17 @@ def _save_db_or_warn(db: BuildDatabase, path: str) -> bool:
         return False
 
 
+def _warn_discarded(discarded: list[str]) -> None:
+    """One stderr line when a build had to drop dormancy state."""
+    if discarded:
+        more = f" (and {len(discarded) - 1} more)" if len(discarded) > 1 else ""
+        print(
+            "reprobuild: warning: dormancy state discarded, affected units "
+            f"rebuild without bypasses: {discarded[0]}{more}",
+            file=sys.stderr,
+        )
+
+
 def _load_db_or_warn(path: str, tool: str) -> BuildDatabase:
     """Read-only DB load for inspection tools; corruption warns, not dies."""
     db, corruption = BuildDatabase.load_or_empty(path)
@@ -434,12 +445,14 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
     try:
         report = builder.build()
     except CompileError as exc:
+        _warn_discarded(builder.discarded)
         # Units that compiled before the failure are already recorded;
         # persisting them keeps the post-fix rebuild incremental.
         _save_db_or_warn(db, args.db)
         for diag in exc.diagnostics:
             print(diag.render(), file=sys.stderr)
         return 1
+    _warn_discarded(builder.discarded)
     try:
         db_bytes = db.save(args.db)
     except OSError as exc:
@@ -479,7 +492,8 @@ def _locked_build(args: argparse.Namespace, project: Project) -> int:
     print(f"build: {report.describe()}", file=sys.stderr)
     if options.stateful:
         print(
-            f"state: {report.state_records} records ({db_bytes} bytes with build DB); "
+            f"state: {report.state_records} records "
+            f"({db_bytes + report.state_bytes} bytes with build DB); "
             f"bypassed {report.bypass.bypassed}/{report.bypass.bypassed + report.bypass.executions} "
             f"pass runs",
             file=sys.stderr,
@@ -703,7 +717,7 @@ def reprobuild_regress_main(argv: list[str] | None = None) -> int:
             print(f"regress: no such directory: {args.directory}", file=sys.stderr)
             return 2
         db = _load_db_or_warn(args.db, "regress")
-        if db.live_state is None:
+        if not db.state_records:
             print(
                 "regress: no compiler state in the build DB "
                 "(audit needs a --stateful build first)",
@@ -723,7 +737,7 @@ def reprobuild_regress_main(argv: list[str] | None = None) -> int:
                 project.provider(),
                 project.unit_paths,
                 options,
-                db.live_state,
+                db,
                 sample=args.sample,
                 seed=args.seed,
             )

@@ -11,8 +11,8 @@ the paper's design cares about:
 1. **Safety** — a record can only be applied to IR that hashes to the
    recorded fingerprint; renames, edits, and pipeline divergence all
    change the fingerprint and naturally miss.
-2. **Sharing** — two identical functions (or the same function in two
-   builds) share records for free.
+2. **Sharing** — two identical functions of one translation unit (or
+   the same function in two builds) share records for free.
 
 The state file additionally stores the pipeline signature (pass names
 by position) and fingerprint mode; a mismatch invalidates the whole
@@ -20,17 +20,17 @@ state, as does a schema version bump.  Entries unused for
 ``gc_max_age`` consecutive builds are garbage-collected so the file
 does not grow without bound as code churns.
 
-For parallel builds the state additionally supports a snapshot/delta
-protocol (:meth:`CompilerState.snapshot`, :meth:`CompilerState.extract_delta`,
-:meth:`CompilerState.merge_delta`): each build worker compiles against a
-read-only copy of the records taken at build start and hands back only
-the records it created or refreshed; the build driver folds those
-:class:`StateDelta` objects into the live state in a deterministic
-order.  Because records are keyed by content fingerprints and passes
-are deterministic, two workers that write the same key necessarily
-write the same dormancy verdict, so last-writer-wins merging is safe —
-and the merged state is record-for-record what a serial build of the
-same units would have produced.
+A build keeps one state per translation unit (a *shard*, see
+:mod:`repro.buildsys.builddb`): each shard carries its own pipeline
+signature, fingerprint mode, compile counter and GC, so an incompatible
+shard is discarded for its unit alone, and a ``-j N`` worker compiles
+against its unit's shard and hands the new shard back whole.
+
+:meth:`CompilerState.snapshot` and :meth:`CompilerState.merge_delta`
+are what remains of the global state's parallel-build protocol:
+the collision audit compiles against snapshots, and ``merge_delta``
+(last-writer-wins, freshest GC timestamp) no longer has a caller in
+the build.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ from pathlib import Path
 from repro.obs.metrics import MetricsRegistry
 from repro.persist import CorruptArtifactError, atomic_write, read_artifact
 
-STATE_SCHEMA_VERSION = 3
+#: v4 keys call sites by the callee's purity (see
+#: :func:`repro.ir.fingerprint.fingerprint_function`).
+STATE_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -61,13 +63,9 @@ class DormancyRecord:
 class StateDelta:
     """Records created or refreshed while compiling against a snapshot.
 
-    The payload of the parallel-build merge protocol: a worker tracks
-    every record it touched (new dormancy verdicts and GC-timestamp
-    refreshes alike) and ships just those back to the build driver.
-    All ``last_used_build`` values in a delta equal ``build_counter`` —
-    by construction a worker only touches records during its own build
-    tick — which is what makes merged garbage collection behave exactly
-    like a serial build's.
+    The payload of :meth:`CompilerState.merge_delta`.  All
+    ``last_used_build`` values in a delta are expected to equal
+    ``build_counter`` (records touched during one build tick).
     """
 
     build_counter: int
@@ -76,6 +74,16 @@ class StateDelta:
     @property
     def num_records(self) -> int:
         return len(self.records)
+
+
+@dataclass(frozen=True)
+class SerializedShard:
+    """One unit's state as the build DB stores it, with its bookkeeping."""
+
+    json: str
+    records: int
+    #: Records garbage collection removed just before serializing.
+    gc_reclaimed: int = 0
 
 
 @dataclass
@@ -96,10 +104,6 @@ class CompilerState:
     #: Records reclaimed by the most recent :meth:`collect_garbage` of
     #: this process (not persisted; 0 until GC runs).
     last_gc_reclaimed: int = field(default=0, init=False, repr=False, compare=False)
-    #: Keys touched since :meth:`begin_delta_tracking`; ``None`` = not tracking.
-    _touched: set[tuple[int, str]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     #: Observability sink (``None`` = don't report); never serialized,
     #: never copied into snapshots.
     _metrics: MetricsRegistry | None = field(
@@ -119,8 +123,6 @@ class CompilerState:
         record = self.records.get((position, fingerprint))
         if record is not None:
             record.last_used_build = self.build_counter
-            if self._touched is not None:
-                self._touched.add((position, fingerprint))
             if self._metrics is not None:
                 self._metrics.inc("state.records_refreshed")
         return record
@@ -136,11 +138,11 @@ class CompilerState:
         self.records[(position, fingerprint_in)] = DormancyRecord(
             dormant, fingerprint_out, self.build_counter
         )
-        if self._touched is not None:
-            self._touched.add((position, fingerprint_in))
 
     def begin_build(self) -> None:
-        """Advance the build counter (called once per build by the driver)."""
+        """Advance the build counter (once per build; a build DB's shard
+
+        advances once per compile of its unit)."""
         self.build_counter += 1
 
     def collect_garbage(self) -> int:
@@ -176,15 +178,25 @@ class CompilerState:
             "gc_reclaimed_last": self.last_gc_reclaimed,
         }
 
-    # -- parallel-build snapshot/delta protocol -----------------------------
+    def to_shard(self) -> SerializedShard:
+        return SerializedShard(self.to_json(), self.num_records, self.last_gc_reclaimed)
+
+    def finish_compile(self) -> SerializedShard:
+        """Collect garbage after one unit's compile, then serialize.
+
+        The serialized form is what the build DB stores and sizes, so
+        the state is serialized once per compile and never to measure it.
+        """
+        self.collect_garbage()
+        return self.to_shard()
+
+    # -- snapshot/merge -------------------------------------------------------
 
     def snapshot(self) -> "CompilerState":
-        """An independent copy for one worker to compile against.
+        """An independent copy to compile against without writing through.
 
         Records are copied individually because :meth:`lookup` mutates
-        ``last_used_build`` in place — a worker must never write through
-        to the live state it was snapshotted from.  The copy carries no
-        metrics sink: a worker accounts through its own registry.
+        ``last_used_build`` in place.  The copy carries no metrics sink.
         """
         start = time.perf_counter()
         copy = CompilerState(
@@ -199,38 +211,12 @@ class CompilerState:
             self._metrics.inc("state.snapshots")
         return copy
 
-    def begin_delta_tracking(self) -> None:
-        """Start recording which keys :meth:`lookup`/:meth:`remember` touch."""
-        self._touched = set()
-
-    def extract_delta(self) -> StateDelta:
-        """The records touched since :meth:`begin_delta_tracking`.
-
-        Touched keys include GC-timestamp refreshes from lookup hits,
-        not just new verdicts: a record a worker merely *consulted* must
-        survive garbage collection exactly as it would in a serial build.
-        """
-        if self._touched is None:
-            raise RuntimeError("extract_delta() without begin_delta_tracking()")
-        return StateDelta(
-            build_counter=self.build_counter,
-            records={
-                key: replace(self.records[key])
-                for key in self._touched
-                if key in self.records
-            },
-        )
-
     def merge_delta(self, delta: StateDelta) -> int:
-        """Fold one worker's delta into this state; returns records merged.
+        """Fold a delta into this state; returns records merged.
 
-        Last-writer-wins on conflicting keys: the merge order (the build
-        driver uses translation-unit order, independent of completion
-        order) picks the surviving verdict.  Conflicting writers saw the
-        same (position, fingerprint) and passes are deterministic, so
-        the verdicts are identical anyway — the policy only matters for
-        the GC timestamp, which is kept at the maximum so a record used
-        by *any* worker stays as fresh as the freshest use.
+        Last-writer-wins on conflicting keys (passes are deterministic,
+        so conflicting writers carry identical verdicts); the GC
+        timestamp is kept at the maximum of the two.
         """
         start = time.perf_counter()
         for key, incoming in delta.records.items():

@@ -32,6 +32,7 @@ from repro.ir.fingerprint import fingerprint_function
 from repro.ir.structure import Function, Module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer
+from repro.passes.funcattrs import get_pure_functions
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import PassPipeline
 
@@ -70,6 +71,8 @@ class StatefulPassManager(PassManager):
         self.policy = policy
         self.overhead = StatefulOverhead()
         self._fp: str = ""
+        #: The module's pure-function set, part of every fingerprint.
+        self._pure: frozenset[str] = frozenset()
         self._function_had_changes = False
         self._coarse_skip_all = False
         self._entry_fp: str = ""
@@ -80,7 +83,7 @@ class StatefulPassManager(PassManager):
 
     def _compute_fingerprint(self, fn: Function) -> str:
         start = time.perf_counter()
-        fp = fingerprint_function(fn, mode=self.state.fingerprint_mode)
+        fp = fingerprint_function(fn, mode=self.state.fingerprint_mode, pure=self._pure)
         elapsed = time.perf_counter() - start
         self.overhead.fingerprint_time += elapsed
         self.overhead.fingerprint_count += 1
@@ -95,6 +98,9 @@ class StatefulPassManager(PassManager):
     # -- hooks ------------------------------------------------------------------
 
     def begin_function(self, fn: Function, module: Module) -> None:
+        # The module prelude (funcattrs) has run by now, and function
+        # passes only read the pure set, never write it.
+        self._pure = get_pure_functions(module)
         self._fp = self._compute_fingerprint(fn)
         self._entry_fp = self._fp
         self._function_had_changes = False

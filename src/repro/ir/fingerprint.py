@@ -15,6 +15,13 @@ Two fingerprint modes (ablated in the Figure-10 experiment):
   drifted.
 - **named**: the printed text is hashed verbatim, so renames invalidate
   state.  Safe but strictly weaker at bypassing.
+
+Both modes also key every call site by the callee's purity bit
+(``pure``: the module's pure-function set, see
+:func:`repro.passes.funcattrs.get_pure_functions`).  ``dce``, ``cse``
+and ``adce`` read that set, so a callee turning impure (or pure)
+must change its unchanged callers' fingerprints too, or their stale
+dormancy records would be applied.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ def _encode_operand(
     return f"?:{value.ref()}"
 
 
-def canonical_function_text(fn: Function) -> str:
+def canonical_function_text(fn: Function, pure: frozenset[str] = frozenset()) -> str:
     """Name-insensitive canonical serialization of a function's IR."""
     block_index: dict[BasicBlock, int] = {}
     inst_index: dict[Instruction, int] = {}
@@ -91,7 +98,7 @@ def canonical_function_text(fn: Function) -> str:
             elif cls is AllocaInst:
                 parts.append(str(inst.size))
             elif cls is CallInst:
-                parts.append(f"@{inst.callee}:{inst.sig}")
+                parts.append(f"@{inst.callee}:{inst.sig}:{int(inst.callee in pure)}")
             for op in inst.operands:
                 parts.append(encode(op, inst_index))
             if cls is PhiInst:
@@ -106,16 +113,27 @@ def canonical_function_text(fn: Function) -> str:
     return "\n".join(lines)
 
 
-def fingerprint_function(fn: Function, *, mode: str = "canonical") -> str:
+def fingerprint_function(
+    fn: Function, *, mode: str = "canonical", pure: frozenset[str] = frozenset()
+) -> str:
     """Fingerprint a function's IR.
 
     ``mode`` is ``"canonical"`` (name-insensitive, default) or
     ``"named"`` (hash of the printed text).  Both modes hash one joined
     string: a single BLAKE2b update over the full canonical text is
-    cheaper than streaming many per-instruction updates.
+    cheaper than streaming many per-instruction updates.  ``pure`` is
+    the module's pure-function set; each call site hashes whether its
+    callee is in it.
     """
     if mode == "canonical":
-        return stable_hash(canonical_function_text(fn))
+        return stable_hash(canonical_function_text(fn, pure))
     if mode == "named":
-        return stable_hash(print_function(fn))
+        text = print_function(fn)
+        called = pure and sorted(
+            {inst.callee for inst in fn.instructions() if inst.__class__ is CallInst}
+            & pure
+        )
+        if called:
+            text += f"\npure={','.join(called)}"
+        return stable_hash(text)
     raise ValueError(f"unknown fingerprint mode {mode!r}")

@@ -9,7 +9,7 @@ and perform ``replace_all_uses_with`` in O(uses).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, KeysView
 
 from repro.ir.types import I1, I64, IRType, PTR
 
@@ -41,24 +41,30 @@ class Value:
     def __init__(self, ty: IRType, name: str = ""):
         self.ty = ty
         self.name = name
-        self._uses: set[Use] = set()
+        # A dict used as an insertion-ordered set: passes walk use lists
+        # (sccp's worklist, dce), and hash order would make their work
+        # differ between identical compiles.
+        self._uses: dict[Use, None] = {}
 
     # -- use-def bookkeeping (called by Instruction, not user code) --------
 
     def _add_use(self, use: Use) -> None:
-        self._uses.add(use)
+        self._uses[use] = None
 
     def _remove_use(self, use: Use) -> None:
-        self._uses.discard(use)
+        self._uses.pop(use, None)
 
     @property
-    def uses(self) -> set[Use]:
-        """The instructions (and operand slots) currently using this value."""
-        return self._uses
+    def uses(self) -> KeysView[Use]:
+        """The instructions (and operand slots) currently using this value,
+
+        in the order the uses were added."""
+        return self._uses.keys()
 
     @property
-    def users(self) -> set["Instruction"]:
-        return {u.user for u in self._uses}
+    def users(self) -> KeysView["Instruction"]:
+        """The distinct using instructions, in first-use order."""
+        return dict.fromkeys(u.user for u in self._uses).keys()
 
     @property
     def is_used(self) -> bool:

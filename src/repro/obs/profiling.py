@@ -1,7 +1,7 @@
 """Self-profiling: ``cProfile`` around build phases (``--profile``).
 
 One :class:`BuildProfiler` lives for one build.  The driver wraps each
-of its phases (scan, compile, link, state-gc) in :meth:`phase`; on the
+of its phases (scan, compile, link) in :meth:`phase`; on the
 ``-j N`` path each worker profiles its own compiles and ships the raw
 ``cProfile`` stats table back inside its picklable outcome, which the
 driver folds into the ``compile-workers`` phase via :meth:`absorb` —

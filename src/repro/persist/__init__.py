@@ -1,6 +1,6 @@
 """Crash-consistent persistence primitives shared by every artifact.
 
-The build database, embedded compiler state, history store, and report
+The build database, its dormancy-state shards, history store, and report
 outputs all persist through this package so the crash story is uniform:
 
 - :func:`~repro.persist.atomic.atomic_write` /
@@ -18,6 +18,7 @@ from repro.persist.atomic import (
     RetryPolicy,
     atomic_write,
     frame,
+    fsync_dir,
     read_artifact,
     unframe,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "RetryPolicy",
     "atomic_write",
     "frame",
+    "fsync_dir",
     "read_artifact",
     "unframe",
     "CorruptArtifactError",

@@ -112,6 +112,7 @@ def atomic_write(
     *,
     checksum: bool = True,
     durable: bool = True,
+    sync_dir: bool = True,
     retry: RetryPolicy | None = None,
 ) -> int:
     """Write ``payload`` to ``path`` crash-consistently; returns on-disk size.
@@ -120,14 +121,16 @@ def atomic_write(
     verbatim, e.g. ``--report-json``); the temp+fsync+rename protocol
     still applies.  ``durable=False`` skips the fsyncs (for pure caches
     like the history index, where a lost write only costs a rebuild of
-    the cache).
+    the cache).  ``sync_dir=False`` leaves the directory fsync to the
+    caller, who writes several files into one directory and then calls
+    :func:`fsync_dir` once.
     """
     path = Path(path)
     blob = frame(payload) if checksum else payload
     policy = retry or DEFAULT_RETRY
     for attempt in range(policy.attempts):
         try:
-            _write_once(path, blob, durable=durable)
+            _write_once(path, blob, durable=durable, sync_dir=sync_dir)
             return len(blob)
         except OSError as exc:
             if exc.errno not in TRANSIENT_ERRNOS or attempt == policy.attempts - 1:
@@ -136,7 +139,7 @@ def atomic_write(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _write_once(path: Path, blob: bytes, *, durable: bool) -> None:
+def _write_once(path: Path, blob: bytes, *, durable: bool, sync_dir: bool) -> None:
     backend = io.backend()
     # Per-PID temp name: two racing writers (should be prevented by the
     # build lock, but belt and braces) never scribble on each other's
@@ -157,11 +160,11 @@ def _write_once(path: Path, blob: bytes, *, durable: bool) -> None:
         with suppress(OSError):
             backend.unlink(str(tmp))
         raise
-    if durable:
-        _fsync_dir(path.parent)
+    if durable and sync_dir:
+        fsync_dir(path.parent)
 
 
-def _fsync_dir(directory: Path) -> None:
+def fsync_dir(directory: Path) -> None:
     """Best-effort directory fsync so the rename itself is durable."""
     backend = io.backend()
     try:

@@ -7,14 +7,17 @@ build of the same tree.  This module turns that contract into a
 fuzzable property:
 
 1. generate a project from a seeded preset and a seeded random edit
-   trace (:mod:`repro.workload`);
+   trace (:mod:`repro.workload`) with one *effect flip* mixed in: a
+   function's body is swapped for a fixed pure one (or back), which
+   flips its purity while its callers' text stays the same;
 2. replay the trace three ways — clean stateless rebuilds (the
    reference), stateful incremental at ``-j 1``, and stateful
-   incremental at ``-j N`` with the snapshot/delta merge protocol;
+   incremental at ``-j N``;
 3. after every step compare linked images byte-for-byte
    (:meth:`~repro.backend.linker.LinkedImage.to_json`), per-unit
-   object JSON, and the stateful variants' bypass/record accounting
-   against each other.
+   object JSON, and the dormancy-state shards: serial and ``-j N``
+   shards must be identical, and the records each unit's latest
+   compile used must be exactly those of a clean stateful build.
 
 When a ``workdir`` is given, the stateful build databases additionally
 round-trip through ``save``/``load`` on real disk between steps, so the
@@ -29,16 +32,79 @@ Run standalone (CI does, with a fixed seed)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
+from repro.core.state import CompilerState
 from repro.driver import CompilerOptions
-from repro.workload.edits import apply_edit, random_edit_sequence
+from repro.workload.edits import Edit, apply_edit, random_edit
 from repro.workload.generator import generate_project
-from repro.workload.spec import make_preset
+from repro.workload.spec import ProjectSpec, make_preset, seeded_rng
+
+
+@dataclass(frozen=True)
+class EffectFlip:
+    """Toggle one function between its generated body and a pure one.
+
+    Kept out of :data:`repro.workload.edits.DEFAULT_EDIT_MIX` (and so
+    out of the benchmark's traces): it exists to reach dormancy-key
+    inputs that live outside a function's own IR.
+    """
+
+    module: str
+    function: str
+
+    def describe(self) -> str:
+        return f"effect-flip@{self.module}.{self.function}"
+
+    def apply(self, spec: ProjectSpec) -> ProjectSpec:
+        module = spec.module_by_name(self.module)
+        functions = tuple(
+            replace(fn, pure_body=not fn.pure_body)
+            if fn.name == self.function
+            else fn
+            for fn in module.functions
+        )
+        return spec.replace_module(replace(module, functions=functions))
+
+
+def fuzz_edit_sequence(
+    spec: ProjectSpec, length: int, seed: int
+) -> list[Edit | EffectFlip]:
+    """``length`` edits drawn against the evolving spec, one an effect flip."""
+    rng = seeded_rng("fuzz-edits", spec.name, seed)
+    flip_at = rng.randrange(length) if length else -1
+    edits: list[Edit | EffectFlip] = []
+    for step in range(length):
+        if step == flip_at:
+            module = rng.choice(spec.modules)
+            edit = EffectFlip(module.name, rng.choice(module.functions).name)
+        else:
+            edit = random_edit(spec, rng)
+        edits.append(edit)
+        spec = _apply(spec, edit)
+    return edits
+
+
+def _apply(spec: ProjectSpec, edit: Edit | EffectFlip) -> ProjectSpec:
+    return edit.apply(spec) if isinstance(edit, EffectFlip) else apply_edit(spec, edit)
+
+
+def _verdicts(state: CompilerState | None, *, latest_only: bool = False) -> dict:
+    """``(position, fingerprint) -> (dormant, fingerprint_out)`` of a shard.
+
+    ``latest_only`` keeps the records the shard's latest compile used.
+    """
+    if state is None:
+        return {}
+    return {
+        key: (record.dormant, record.fingerprint_out)
+        for key, record in state.records.items()
+        if not latest_only or record.last_used_build == state.build_counter
+    }
 
 
 @dataclass
@@ -93,12 +159,12 @@ def run_differential_trace(
     """Fuzz one seeded edit trace; see the module docstring for the law."""
     result = DifferentialResult(preset=preset, seed=seed, jobs=tuple(jobs))
     spec = make_preset(preset, seed=seed)
-    edits = random_edit_sequence(spec, num_edits, seed=seed)
+    edits = fuzz_edit_sequence(spec, num_edits, seed)
     result.edits = [edit.describe() for edit in edits]
 
     specs = [spec]
     for edit in edits:
-        specs.append(apply_edit(specs[-1], edit))
+        specs.append(_apply(specs[-1], edit))
 
     stateless = CompilerOptions(opt_level=opt_level, stateful=False)
     stateful = CompilerOptions(opt_level=opt_level, stateful=True)
@@ -157,38 +223,49 @@ def run_differential_trace(
                         step, "behaviour", f"-j {j} execution diverged"
                     ))
 
-        # The stateful variants must also agree with *each other* on the
-        # dormancy bookkeeping: after the -j N snapshot/delta merge, the
-        # record population must be *identical* to the serial build's —
-        # same keys, same verdicts, same GC timestamps.  (Bypass
-        # *counters* legitimately differ: a serial build can bypass
-        # unit B via a record unit A created seconds earlier, while
-        # parallel workers only see the state snapshot from build
-        # start; determinism of the pass pipeline makes them converge
-        # on the same records regardless.)
+        # The shards must agree too.  Each unit's compile reads and
+        # writes only its own shard, so -j N shards are bit-identical
+        # to the serial build's (same digests), and so are the bypass
+        # counters.  And the records a unit's latest compile used must
+        # be exactly the ones a clean stateful build records: a stale
+        # or missing verdict would show up here even when the image
+        # happens to come out right.
         baseline_j = jobs[0]
         base_db, base_report = variants[baseline_j]
         for j in jobs[1:]:
             other_db, other_report = variants[j]
-            base_state = base_db.live_state.records if base_db.live_state else None
-            other_state = other_db.live_state.records if other_db.live_state else None
-            if base_state != other_state:
-                base_n = len(base_state) if base_state is not None else -1
-                other_n = len(other_state) if other_state is not None else -1
+            differing = [
+                path for path in units
+                if base_db.units[path].state_digest != other_db.units[path].state_digest
+            ]
+            if differing:
                 result.divergences.append(Divergence(
                     step, "records",
-                    f"dormancy records diverge: -j {baseline_j} has {base_n}, "
-                    f"-j {j} has {other_n} (or equal counts, unequal contents)",
+                    f"shards of -j {baseline_j} and -j {j} differ for {differing}",
                 ))
             base_work = base_report.bypass
             other_work = other_report.bypass
-            if (base_work.executions + base_work.bypassed
-                    != other_work.executions + other_work.bypassed):
+            if (base_work.executions, base_work.bypassed) != (
+                other_work.executions, other_work.bypassed
+            ):
                 result.divergences.append(Divergence(
                     step, "records",
-                    f"pass-run totals differ: -j {baseline_j} saw "
-                    f"{base_work.executions + base_work.bypassed}, -j {j} saw "
-                    f"{other_work.executions + other_work.bypassed}",
+                    f"pass runs differ: -j {baseline_j} executed/bypassed "
+                    f"{base_work.executions}/{base_work.bypassed}, -j {j} "
+                    f"{other_work.executions}/{other_work.bypassed}",
+                ))
+        clean_db = BuildDatabase()
+        IncrementalBuilder(provider, units, stateful, clean_db).build(link_output=False)
+        result.builds += 1
+        for path in units:
+            clean = _verdicts(clean_db.read_state(path))
+            latest = _verdicts(base_db.read_state(path), latest_only=True)
+            if latest != clean:
+                result.divergences.append(Divergence(
+                    step, "records",
+                    f"{path}: the latest compile used {len(latest)} records, "
+                    f"a clean build records {len(clean)} (or equal counts, "
+                    "unequal contents)",
                 ))
 
         # Optionally round-trip every stateful DB through the on-disk

@@ -278,6 +278,16 @@ class _BodyGenerator:
         return "\n".join(self.lines)
 
 
+#: No loops, no memory, no division: pure by ``funcattrs``'s rules, and
+#: more IR instructions than the inliner's threshold.
+_PURE_BODY = """\
+  int v0 = p0 * 3 + 1;
+  int v1 = v0 * v0 - p0;
+  int v2 = v1 ^ (v0 + 7);
+  int v3 = v2 * 5 - v1 * 2;
+  return (v3 ^ v2) + (v0 - v1);"""
+
+
 def _generate_function(
     module: ModuleSpec,
     fn: FunctionSpec,
@@ -299,7 +309,7 @@ def _generate_function(
         const_bias=fn.const_bias,
         cost_cap=_STATIC_COST[fn.size],
     )
-    body = _BodyGenerator(ctx).generate(_SIZE_BUDGET[fn.size])
+    body = _PURE_BODY if fn.pure_body else _BodyGenerator(ctx).generate(_SIZE_BUDGET[fn.size])
     param_list = ", ".join(f"int {p}" for p in params)
     return f"int {fn.name}({param_list}) {{\n{body}\n}}"
 

@@ -29,6 +29,10 @@ class FunctionSpec:
     public: bool = False
     #: Additive tweak applied to one literal — the lightest possible edit.
     const_bias: int = 0
+    #: Replace the generated body by a fixed side-effect-free one (too
+    #: large to inline): flips the function's purity without changing
+    #: its callers' text (the differential fuzzer's effect flip).
+    pure_body: bool = False
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ def run_audit(db, files=FILES, *, sample=50, seed=0, **options):
         MemoryFileProvider(edited),
         UNITS,
         CompilerOptions(**options),
-        db.live_state,
+        db,
         sample=sample,
         seed=seed,
     )
@@ -84,14 +84,14 @@ class TestCleanAudit:
 
     def test_audit_leaves_live_state_untouched(self):
         db = build_history()
-        state = db.live_state
-        before = {key: dataclasses.replace(rec) for key, rec in state.records.items()}
-        counter = state.build_counter
+        before = {path: db.read_state(path) for path in UNITS}
+        digests = {path: db.units[path].state_digest for path in UNITS}
         run_audit(db)
-        assert state.build_counter == counter
-        assert set(state.records) == set(before)
-        for key, rec in state.records.items():
-            assert rec == before[key]
+        for path in UNITS:
+            assert db.units[path].state_digest == digests[path]
+            after = db.read_state(path)
+            assert after.build_counter == before[path].build_counter
+            assert after.records == before[path].records
 
     def test_result_serializes(self):
         payload = run_audit(build_history()).to_dict()
@@ -105,14 +105,16 @@ class TestTampering:
         """Simulate a collision: a dormant record whose stored outcome
         no longer matches reality must surface as a mismatch."""
         db = build_history()
-        state = db.live_state
         tampered = 0
-        for key, record in state.records.items():
-            if record.dormant:
-                state.records[key] = dataclasses.replace(
-                    record, fingerprint_out="0" * len(record.fingerprint_out)
-                )
-                tampered += 1
+        for path in UNITS:
+            state = db.read_state(path)
+            for key, record in state.records.items():
+                if record.dormant:
+                    state.records[key] = dataclasses.replace(
+                        record, fingerprint_out="0" * len(record.fingerprint_out)
+                    )
+                    tampered += 1
+            db.set_state(path, state.to_shard())
         assert tampered > 0
         result = run_audit(db)
         assert not result.ok

@@ -136,3 +136,71 @@ class TestLegacyCompatibility:
         rc = reprobuild_main(build_argv(project))
         err = capsys.readouterr().err
         assert rc == 0 and "corrupt" not in err
+
+
+class TestDiscardedStateIsLoud:
+    """Dropped dormancy state costs bypasses, never a failed build, and
+    every build that drops some says so once on stderr."""
+
+    def edit_every_unit(self, project, marker):
+        for unit in (project / "proj").glob("*.mc"):
+            unit.write_text(unit.read_text() + f"// {marker}\n")
+
+    def warnings(self, err):
+        return [line for line in err.splitlines() if "dormancy state discarded" in line]
+
+    def test_missing_and_corrupt_shards_warn_once(self, project, capsys):
+        from repro.buildsys.builddb import BuildDatabase, default_state_dir
+
+        db_path = project / "build.reprodb"
+        assert reprobuild_main(build_argv(project)) == 0
+        shards = sorted(default_state_dir(db_path).iterdir())
+        shards[0].unlink()
+        blob = bytearray(shards[1].read_bytes())
+        blob[-3] ^= 0xFF
+        shards[1].write_bytes(bytes(blob))
+        capsys.readouterr()
+
+        self.edit_every_unit(project, "a")
+        assert reprobuild_main(build_argv(project, flags=["--report-json",
+                               str(project / "r.json")])) == 0
+        err = capsys.readouterr().err
+        (warning,) = self.warnings(err)
+        assert "and 1 more" in warning
+        import json
+        report = json.loads((project / "r.json").read_text())
+        assert report["metrics"]["counters"]["state.discarded"] == 2
+        # The rebuilt units got fresh shards: the next build is quiet.
+        BuildDatabase.load(db_path)
+        self.edit_every_unit(project, "b")
+        assert reprobuild_main(build_argv(project)) == 0
+        assert self.warnings(capsys.readouterr().err) == []
+
+    def test_opt_level_change_warns(self, project, capsys):
+        assert reprobuild_main(build_argv(project)) == 0
+        capsys.readouterr()
+        self.edit_every_unit(project, "a")
+        assert reprobuild_main(build_argv(project, flags=["-O1"])) == 0
+        (warning,) = self.warnings(capsys.readouterr().err)
+        assert "another pipeline" in warning
+
+    def test_legacy_global_state_warns_once(self, project, capsys):
+        import json
+
+        db_path = project / "build.reprodb"
+        assert reprobuild_main(build_argv(project)) == 0
+        payload = json.loads(read_artifact(db_path))
+        payload["schema"] = 2
+        payload["state"] = "{}"
+        for unit in payload["units"]:
+            del unit["state"]
+        db_path.write_bytes(frame(json.dumps(payload).encode()))
+        capsys.readouterr()
+
+        assert reprobuild_main(build_argv(project)) == 0  # units still up to date
+        err = capsys.readouterr().err
+        (warning,) = self.warnings(err)
+        assert "schema 2" in warning
+        assert "0 recompiled" in err
+        assert reprobuild_main(build_argv(project)) == 0
+        assert self.warnings(capsys.readouterr().err) == []

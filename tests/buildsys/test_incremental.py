@@ -121,8 +121,9 @@ class TestMidBuildFailure:
         # one is not; the one never reached is not.
         assert "extra.mc" in db.units
         assert "main.mc" not in db.units and "util.mc" not in db.units
-        # Partial compiler state still landed in the DB.
-        assert db.live_state is not None and db.live_state.num_records > 0
+        # The compiled unit's shard landed in the DB with it.
+        assert db.units["extra.mc"].state_records > 0
+        assert db.read_state("extra.mc").num_records == db.units["extra.mc"].state_records
 
         report = build(FILES, db, stateful=True)
         assert "extra.mc" in report.up_to_date
@@ -153,7 +154,8 @@ class TestStateful:
         db = BuildDatabase()
         clean = build(FILES, db, stateful=True)
         assert clean.state_records > 0
-        assert db.live_state is not None
+        assert all(db.units[path].state_digest is not None for path in UNITS)
+        assert clean.state_records == sum(db.read_state(p).num_records for p in UNITS)
 
         edited = dict(FILES, **{"main.mc": FILES["main.mc"].replace("14", "15")})
         report = build(edited, db, stateful=True)
@@ -175,11 +177,24 @@ class TestStateful:
     def test_incompatible_state_is_replaced(self):
         db = BuildDatabase()
         build(FILES, db, stateful=True, opt_level="O1")
-        old_state = db.live_state
-        report = build(dict(FILES), db, stateful=True, opt_level="O2")
-        # Different pipeline: full recompile with a fresh state.
-        assert db.live_state is not old_state
+        old_shards = {path: db.units[path].state_digest for path in UNITS}
+        # The build does not track -O, so edit every unit to recompile it.
+        edited = dict(
+            FILES,
+            **{"util.mh": FILES["util.mh"].replace("3", "4"),
+               "extra.mc": FILES["extra.mc"].replace("1", "2")},
+        )
+        builder = IncrementalBuilder(
+            MemoryFileProvider(edited), UNITS,
+            CompilerOptions(stateful=True, opt_level="O2"), db,
+        )
+        report = builder.build()
+        # Different pipeline: every unit compiles against a fresh shard,
+        # and each dropped shard is reported.
+        assert all(db.units[p].state_digest != old_shards[p] for p in UNITS)
         assert report.bypass.bypassed == 0
+        assert len(builder.discarded) == len(UNITS)
+        assert report.metrics["counters"]["state.discarded"] == len(UNITS)
 
     def test_stateful_objects_match_stateless(self):
         dbs = {}

@@ -1,4 +1,4 @@
-"""Parallel builds: determinism vs serial, state merging, failure handling."""
+"""Parallel builds: determinism vs serial, per-unit shards, failure handling."""
 
 import os
 
@@ -7,6 +7,7 @@ import pytest
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions, compile_unit
+from repro.core.state import CompilerState
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import MemoryFileProvider
@@ -37,9 +38,9 @@ FILES = {
 }
 UNITS = ["extra.mc", "main.mc", "util.mc"]
 
-#: The thread executor exercises the identical snapshot/delta protocol
-#: without fork, so the suite stays fast and sandbox-proof; one process
-#: test covers the pickling path.
+#: The thread executor exercises the identical shard hand-off without
+#: fork, so the suite stays fast and sandbox-proof; one process test
+#: covers the pickling path.
 THREADS4 = BuildOptions(jobs=4, executor="thread")
 SERIAL = BuildOptions(jobs=1, executor="serial")
 
@@ -121,13 +122,20 @@ class TestDeterminism:
         for name, build_options in (("serial", SERIAL), ("parallel", THREADS4)):
             db = BuildDatabase()
             build(FILES, db, build_options=build_options, stateful=True)
-            db.live_state.gc_max_age = 0  # prune everything this build didn't touch
-            edited = dict(FILES, **{"main.mc": FILES["main.mc"].replace("14", "21")})
+            for path in UNITS:  # prune everything the next compile doesn't touch
+                shard = db.read_state(path)
+                shard.gc_max_age = 0
+                db.set_state(path, shard.to_shard())
+            edited = dict(FILES, **{"util.mh": FILES["util.mh"].replace("3", "5")})
             reports[name] = (
                 build(edited, db, build_options=build_options, stateful=True),
-                db.live_state.num_records,
+                {path: db.units[path].state_digest for path in UNITS},
             )
+        # Each unit's shard is collected by its own compile: serial and
+        # parallel builds leave bit-identical shards.
+        assert reports["serial"][0].jobs == 1 and reports["parallel"][0].jobs == 2
         assert reports["serial"][1] == reports["parallel"][1]
+        assert reports["serial"][0].metrics["gauges"]["state.gc_reclaimed_last"] > 0
 
 
 class TestReportAttribution:
@@ -208,14 +216,20 @@ class TestFailure:
 
 
 class TestCompileUnitHelper:
-    def test_outcome_round_trips_object_and_delta(self):
+    def test_outcome_round_trips_object_and_shard(self):
         provider = MemoryFileProvider(FILES)
         options = CompilerOptions(stateful=True)
-        state = Compiler(provider, options).state.snapshot()
+        state = Compiler(provider, options).state
         outcome = compile_unit(provider, options, state, "util.mc", worker="w0")
         assert not outcome.failed and outcome.worker == "w0"
-        assert outcome.delta is not None and outcome.delta.num_records > 0
-        assert state.num_records == 0  # the shipped snapshot stays pristine
+        assert outcome.shard == state.to_shard()
+        assert outcome.shard.records == state.num_records > 0
+        assert CompilerState.from_json(outcome.shard.json).records == state.records
+
+    def test_stateless_outcome_carries_no_shard(self):
+        provider = MemoryFileProvider(FILES)
+        outcome = compile_unit(provider, CompilerOptions(), None, "util.mc")
+        assert not outcome.failed and outcome.shard is None
 
     def test_outcome_captures_compile_error(self):
         provider = MemoryFileProvider({"bad.mc": "int main() { return nope(); }\n"})

@@ -140,7 +140,7 @@ class TestPipelineSignature:
 
 
 class TestSnapshotDelta:
-    """The parallel-build snapshot/delta-merge protocol."""
+    """Snapshots (the collision audit's private copies) and delta merging."""
 
     def test_snapshot_is_isolated(self):
         state = make_state(build_counter=7)
@@ -156,39 +156,11 @@ class TestSnapshotDelta:
         snap.lookup(0, "a")
         assert state.records[(0, "a")].last_used_build == 7
 
-    def test_extract_delta_requires_tracking(self):
-        with pytest.raises(RuntimeError):
-            make_state().extract_delta()
-
-    def test_delta_contains_writes_and_lookup_refreshes(self):
-        state = make_state(build_counter=3)
-        state.remember(0, "old", True, "old")
-        state.remember(0, "untouched", True, "untouched")
-        state.build_counter = 4
-        state.begin_delta_tracking()
-        state.lookup(0, "old")            # refresh only
-        state.lookup(5, "miss")           # miss: not in the delta
-        state.remember(1, "new", False, "new2")
-        delta = state.extract_delta()
-        assert set(delta.records) == {(0, "old"), (1, "new")}
-        assert delta.build_counter == 4
-        # Everything a worker touched is stamped with its build tick.
-        assert all(r.last_used_build == 4 for r in delta.records.values())
-
-    def test_delta_records_are_copies(self):
-        state = make_state()
-        state.begin_delta_tracking()
-        state.remember(0, "a", True, "a")
-        delta = state.extract_delta()
-        delta.records[(0, "a")].dormant = False
-        assert state.records[(0, "a")].dormant
-
     def test_merge_disjoint_deltas_is_order_independent(self):
+        from repro.core.state import StateDelta
+
         def worker_delta(position, fp):
-            snap = make_state(build_counter=2)
-            snap.begin_delta_tracking()
-            snap.remember(position, fp, True, fp)
-            return snap.extract_delta()
+            return StateDelta(2, {(position, fp): DormancyRecord(True, fp, 2)})
 
         a, b = worker_delta(0, "f1"), worker_delta(3, "f2")
         ab, ba = make_state(build_counter=2), make_state(build_counter=2)
@@ -228,10 +200,10 @@ class TestSnapshotDelta:
             state.records[(0, "cold")] = DormancyRecord(True, "cold", 5)
             state.build_counter = 51
             if merge_parallel:
-                snap = state.snapshot()
-                snap.begin_delta_tracking()
-                snap.lookup(0, "hot")
-                state.merge_delta(snap.extract_delta())
+                from repro.core.state import StateDelta
+
+                refreshed = state.snapshot().lookup(0, "hot")
+                state.merge_delta(StateDelta(51, {(0, "hot"): refreshed}))
             else:
                 state.lookup(0, "hot")
             state.collect_garbage()

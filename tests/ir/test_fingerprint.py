@@ -122,3 +122,42 @@ define @f(i1 %c) -> i64 {
 
         with pytest.raises(ValueError):
             fingerprint_function(fn_of(FN_TEXT), mode="bogus")
+
+
+CALL_TEXT = """module m
+define @g(i64 %x) -> i64 {
+^entry:
+  %t = call @h(%x) : i64(i64)
+  ret %x
+}
+"""
+
+
+class TestCalleePurity:
+    """A call site's fingerprint covers whether its callee is pure.
+
+    ``dce``/``cse``/``adce`` read the module's pure set, so a callee
+    flipping purity must change its caller's dormancy key even though
+    the caller's own IR is unchanged.
+    """
+
+    def test_purity_bit_changes_the_fingerprint_in_both_modes(self):
+        fn = fn_of(CALL_TEXT, "g")
+        for mode in ("canonical", "named"):
+            impure = fingerprint_function(fn, mode=mode)
+            pure = fingerprint_function(fn, mode=mode, pure=frozenset({"h"}))
+            assert impure != pure, mode
+
+    def test_unrelated_pure_functions_do_not_matter(self):
+        fn = fn_of(CALL_TEXT, "g")
+        for mode in ("canonical", "named"):
+            assert fingerprint_function(fn, mode=mode) == fingerprint_function(
+                fn, mode=mode, pure=frozenset({"other"})
+            ), mode
+
+    def test_functions_without_calls_are_unaffected(self):
+        fn = fn_of(FN_TEXT)
+        assert fingerprint_function(fn, mode="named") == fingerprint_function(
+            fn, mode="named", pure=frozenset({"f"})
+        )
+        assert fingerprint_function(fn) == stable_hash(canonical_function_text(fn))

@@ -1,6 +1,6 @@
 """The crash-recovery matrix: every artifact, every fault point.
 
-For each persistent artifact (build DB with embedded compiler state,
+For each persistent artifact (build DB with its dormancy-state shards,
 standalone state file, history JSONL, history index sidecar) the write
 path is first enumerated fault-free, then replayed once per IO
 operation with a crash (or torn write, or IO error) injected exactly
@@ -35,16 +35,22 @@ def snapshot_of(path, text):
     return DependencySnapshot(path, content_digest(text), {})
 
 
-def make_db(units):
+def make_db(units, revision=0):
+    """A DB whose units each own a shard; ``revision`` changes the shards."""
     db = BuildDatabase()
-    for name in units:
-        db.record_unit(snapshot_of(name, f"source of {name}"), "{}")
-    state = CompilerState(pipeline_signature="p1|p2")
-    state.begin_build()
     for i, name in enumerate(units):
-        state.remember(i % 3, f"fp-{name}", True, f"fp-{name}")
-    db.live_state = state
+        db.record_unit(snapshot_of(name, f"source of {name}"), "{}")
+        state = CompilerState(pipeline_signature="p1|p2")
+        state.begin_build()
+        for k in range(revision + 1):
+            state.remember(i % 3, f"fp-{name}-{k}", True, f"fp-{name}-{k}")
+        db.set_state(name, state.to_shard())
     return db
+
+
+def shard_records(db):
+    """Unit -> its shard's records; raises if any shard is unreadable."""
+    return {name: db.read_state(name).records for name in db.units}
 
 
 def make_state(n):
@@ -86,13 +92,19 @@ def sweep_plans(total_ops):
 
 class TestBuildDatabaseMatrix:
     def test_every_fault_point_recovers(self, tmp_path):
+        # The write order is: new shards, then the DB (the commit
+        # point), then deletion of shards the DB no longer references.
+        # ``new`` rewrites a.mc's shard, drops b.mc and adds c.mc, so the
+        # sweep crosses every step of that order.
         path = tmp_path / "build.reprodb"
         old = make_db(["a.mc", "b.mc"])
-        new = make_db(["a.mc", "b.mc", "c.mc"])
+        new = make_db(["a.mc", "c.mc"], revision=1)
 
         old.save(path)
-        total = count_io_ops(lambda: new.save(path)).total_ops
-        assert total >= 5
+        ops = [op for op, _target in count_io_ops(lambda: new.save(path)).log]
+        total = len(ops)
+        assert ops.count("replace") == 3  # two shards and the DB
+        assert ops.count("unlink") == 2  # a.mc's and b.mc's old shards
 
         checked = 0
         for label, plan in sweep_plans(total):
@@ -106,9 +118,10 @@ class TestBuildDatabaseMatrix:
                 assert units == set(), label
             else:
                 assert units in (set(old.units), set(new.units)), label
-                if units == set(new.units):
-                    assert db.live_state is not None
-                    assert len(db.live_state.records) == len(new.live_state.records)
+                # Whichever DB survived, every shard it names exists
+                # and holds that version's records.
+                expected = old if units == set(old.units) else new
+                assert shard_records(db) == shard_records(expected), label
             checked += 1
         assert checked == total * 5
 
@@ -222,3 +235,37 @@ class TestEndToEndCrashRecovery:
             assert reprobuild_main(argv) == 0, f"write#{index}"
             err = capsys.readouterr().err
             assert "Traceback" not in err
+
+    def test_rebuild_killed_at_every_io_op_leaves_readable_shards(self, project_dir, capsys):
+        from repro.buildsys.builddb import default_state_dir
+        from repro.cli import reprobuild_main
+
+        db_path = project_dir / "build.reprodb"
+        argv = [
+            str(project_dir / "proj"), "--db", str(db_path),
+            "--stateful", "--no-history", "--no-lock", "-j", "1",
+        ]
+        assert reprobuild_main(argv) == 0
+        unit = sorted((project_dir / "proj").glob("*.mc"))[0]
+
+        def edit(i):
+            unit.write_text(unit.read_text() + f"// edit {i}\n")
+
+        edit(0)
+        total = count_io_ops(lambda: reprobuild_main(argv)).total_ops
+        capsys.readouterr()
+        for index in range(total):
+            edit(index + 1)
+            with inject_faults(FaultPlan([FaultSpec(KILL, None, index)])):
+                try:
+                    reprobuild_main(argv)
+                except InjectedCrash:
+                    pass
+            db = BuildDatabase.load(db_path)
+            shard_records(db)  # every shard the surviving DB names exists
+            assert reprobuild_main(argv) == 0, f"kill@{index}"
+            assert "warning" not in capsys.readouterr().err, f"kill@{index}"
+            db = BuildDatabase.load(db_path)
+            assert {p.name for p in default_state_dir(db_path).iterdir()} == {
+                r.state_digest for r in db.units.values()
+            }, f"kill@{index}"
