@@ -70,7 +70,7 @@ def find_natural_loops(fn: Function, domtree: DominatorTree | None = None) -> li
                     stack.extend(p for p in preds_all[node] if domtree.is_reachable(p))
 
     loops = list(loops_by_header.values())
-    loops.sort(key=lambda l: -len(l.blocks))
+    loops.sort(key=lambda loop: -len(loop.blocks))
     return loops
 
 

@@ -32,7 +32,7 @@ from repro.ir.instructions import (
     StoreInst,
 )
 from repro.ir.structure import BasicBlock, Function, Module
-from repro.ir.values import Argument, ConstantInt, GlobalAddr, UndefValue, Value
+from repro.ir.values import ConstantInt, GlobalAddr, UndefValue, Value
 
 _BINARY_MOP = {
     Opcode.ADD: MOp.ADD,

@@ -106,8 +106,8 @@ def _block_liveness(
         use[label] = bu
         defs[label] = bd
 
-    live_in: dict[str, set[int]] = {l: set() for l in blocks}
-    live_out: dict[str, set[int]] = {l: set() for l in blocks}
+    live_in: dict[str, set[int]] = {label: set() for label in blocks}
+    live_out: dict[str, set[int]] = {label: set() for label in blocks}
     changed = True
     order = list(blocks)
     while changed:

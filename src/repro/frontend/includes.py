@@ -15,7 +15,7 @@ uses for dependency tracking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.frontend import ast

@@ -12,7 +12,7 @@ from repro.frontend import ast
 from repro.frontend.diagnostics import CompileError, DiagnosticEngine
 from repro.frontend.lexer import Lexer, Token, TokenKind
 from repro.frontend.limits import ensure_recursion_capacity
-from repro.frontend.source import SourceFile, SourceSpan
+from repro.frontend.source import SourceFile
 from repro.frontend.types import ArrayType, BOOL, INT, Type, VOID
 
 # Binary operator precedence, higher binds tighter (C-like).

@@ -35,7 +35,6 @@ from repro.ir.instructions import (
     CBrInst,
     ICmpInst,
     Instruction,
-    LoadInst,
     PhiInst,
 )
 from repro.ir.printer import print_function

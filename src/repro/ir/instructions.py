@@ -17,10 +17,10 @@ Semantics notes (shared by the VM and constant folding):
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.ir.types import FunctionSig, I1, I64, IRType, PTR, VOID
-from repro.ir.values import ConstantInt, Use, Value
+from repro.ir.values import Use, Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.structure import BasicBlock

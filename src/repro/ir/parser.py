@@ -23,7 +23,6 @@ from repro.ir.instructions import (
     ICmpPred,
     Instruction,
     LoadInst,
-    Opcode,
     PhiInst,
     RetInst,
     SelectInst,
@@ -33,7 +32,7 @@ from repro.ir.instructions import (
     ZExtInst,
 )
 from repro.ir.structure import BasicBlock, Function, GlobalVariable, Module
-from repro.ir.types import FunctionSig, I1, I64, IRType, PTR, VOID, type_from_name
+from repro.ir.types import FunctionSig, I1, I64, IRType, PTR, type_from_name
 from repro.ir.values import ConstantInt, GlobalAddr, UndefValue, Value
 
 

@@ -6,13 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.ir.instructions import (
-    BrInst,
-    CBrInst,
-    Instruction,
-    Opcode,
-    PhiInst,
-)
+from repro.ir.instructions import Instruction, PhiInst
 from repro.ir.types import FunctionSig, IRType
 from repro.ir.values import Argument, Value
 

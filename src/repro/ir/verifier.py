@@ -9,7 +9,6 @@ with all accumulated messages.
 from __future__ import annotations
 
 from repro.ir.instructions import (
-    AllocaInst,
     CallInst,
     Instruction,
     Opcode,
@@ -18,7 +17,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.structure import BasicBlock, Function, Module
 from repro.ir.types import I1, I64, PTR, VOID
-from repro.ir.values import Argument, ConstantInt, GlobalAddr, UndefValue, Use, Value
+from repro.ir.values import Argument, UndefValue, Use
 
 
 class VerifyError(Exception):

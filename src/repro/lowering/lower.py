@@ -23,7 +23,7 @@ from repro.ir.builder import IRBuilder
 from repro.ir.instructions import ICmpPred, Opcode
 from repro.ir.structure import BasicBlock, Function, GlobalVariable, Module
 from repro.ir.types import FunctionSig, I1, I64, IRType, PTR, VOID
-from repro.ir.values import ConstantInt, GlobalAddr, Value, const_i1, const_i64
+from repro.ir.values import GlobalAddr, Value, const_i1, const_i64
 
 
 class LoweringError(Exception):

@@ -17,7 +17,6 @@ from repro.ir.instructions import (
     ICmpInst,
     Instruction,
     LoadInst,
-    Opcode,
     PhiInst,
     RetInst,
     SelectInst,

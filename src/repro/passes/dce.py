@@ -18,7 +18,6 @@ from repro.ir.instructions import (
     CallInst,
     Instruction,
     LoadInst,
-    Opcode,
     PhiInst,
 )
 from repro.ir.structure import Function, Module

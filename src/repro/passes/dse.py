@@ -16,13 +16,12 @@ from __future__ import annotations
 from repro.ir.instructions import (
     AllocaInst,
     CallInst,
-    Instruction,
     LoadInst,
     StoreInst,
 )
 from repro.ir.structure import Function, Module
 from repro.passes.base import FunctionPass, PassStats
-from repro.passes.gvn import make_value_numbering, _operand_key
+from repro.passes.gvn import make_value_numbering
 
 
 class DeadStoreEliminationPass(FunctionPass):

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.dominators import DominatorTree
-from repro.ir.instructions import CallInst, LoadInst, Opcode, StoreInst
+from repro.ir.instructions import LoadInst, Opcode, StoreInst
 from repro.ir.structure import Function, Module
-from repro.ir.values import GlobalAddr
 from repro.passes.base import ModulePass, PassStats
 
 _ATTR_FIELD = "pure_functions"

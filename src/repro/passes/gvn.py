@@ -18,7 +18,6 @@ from repro.ir.instructions import (
     GepInst,
     ICmpInst,
     Instruction,
-    Opcode,
     SelectInst,
     TruncInst,
     ZExtInst,

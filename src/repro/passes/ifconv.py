@@ -20,13 +20,11 @@ from __future__ import annotations
 from repro.ir.instructions import (
     BrInst,
     CBrInst,
-    Instruction,
     Opcode,
-    PhiInst,
     SelectInst,
 )
 from repro.ir.structure import BasicBlock, Function, Module
-from repro.ir.values import ConstantInt, Value
+from repro.ir.values import ConstantInt
 from repro.passes.base import FunctionPass, PassStats
 from repro.passes.utils import remove_unreachable_blocks
 

@@ -32,7 +32,7 @@ from repro.ir.instructions import (
     eval_icmp,
 )
 from repro.ir.structure import BasicBlock, Function, Module
-from repro.ir.values import ConstantInt, Value
+from repro.ir.values import ConstantInt
 from repro.passes.base import FunctionPass, PassStats
 from repro.passes.utils import remove_unreachable_blocks
 

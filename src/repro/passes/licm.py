@@ -14,7 +14,6 @@ then hoist instructions whose operands are all defined outside the loop
 
 from __future__ import annotations
 
-from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import Loop, find_natural_loops
 from repro.ir.instructions import (
     BrInst,

@@ -27,14 +27,13 @@ from repro.ir.instructions import (
     BrInst,
     CBrInst,
     ICmpInst,
-    Instruction,
     Opcode,
     PhiInst,
     eval_binary,
     eval_icmp,
 )
 from repro.ir.structure import BasicBlock, Function, Module
-from repro.ir.values import ConstantInt, Value, const_i64
+from repro.ir.values import ConstantInt, Value
 from repro.passes.base import FunctionPass, PassStats
 from repro.passes.cloning import clone_instruction
 from repro.passes.licm import ensure_preheader
@@ -67,7 +66,7 @@ class LoopUnrollPass(FunctionPass):
         progress = True
         while progress:
             progress = False
-            loops = sorted(find_natural_loops(fn), key=lambda l: len(l.blocks))
+            loops = sorted(find_natural_loops(fn), key=lambda loop: len(loop.blocks))
             for loop in loops:
                 stats.work += sum(len(b) for b in loop.blocks)
                 plan = self._analyze(fn, loop)

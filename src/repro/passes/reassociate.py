@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.ir.instructions import (
     BinaryInst,
     EvalTrap,
-    Opcode,
     eval_binary,
     COMMUTATIVE_OPCODES,
 )

@@ -21,7 +21,6 @@ from repro.ir.instructions import (
     EvalTrap,
     ICmpInst,
     Instruction,
-    Opcode,
     PhiInst,
     SelectInst,
     TruncInst,

@@ -14,12 +14,7 @@ To a fixpoint:
 
 from __future__ import annotations
 
-from repro.ir.instructions import (
-    BrInst,
-    CBrInst,
-    Instruction,
-    PhiInst,
-)
+from repro.ir.instructions import BrInst, CBrInst
 from repro.ir.structure import BasicBlock, Function, Module
 from repro.ir.values import ConstantInt
 from repro.passes.base import FunctionPass, PassStats

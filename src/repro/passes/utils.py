@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.analysis.cfg import reachable_blocks
 from repro.ir.instructions import PhiInst
-from repro.ir.structure import BasicBlock, Function
+from repro.ir.structure import Function
 from repro.ir.values import UndefValue, Value
 
 

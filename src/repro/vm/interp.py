@@ -26,7 +26,6 @@ from repro.ir.instructions import (
     Instruction,
     LoadInst,
     Opcode,
-    PhiInst,
     RetInst,
     SelectInst,
     StoreInst,
@@ -35,7 +34,7 @@ from repro.ir.instructions import (
     wrap_i64,
 )
 from repro.ir.structure import BasicBlock, Function, Module
-from repro.ir.values import Argument, ConstantInt, GlobalAddr, UndefValue, Value
+from repro.ir.values import ConstantInt, GlobalAddr, UndefValue, Value
 
 
 class Trap(Exception):

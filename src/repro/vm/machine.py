@@ -9,10 +9,10 @@ interpreter so the two engines can be diffed directly in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.backend.linker import LinkedImage
-from repro.backend.mir import MInst, MOp, NUM_PHYS_REGS
+from repro.backend.mir import MOp, NUM_PHYS_REGS
 from repro.ir.instructions import EvalTrap, Opcode, eval_binary, eval_icmp, wrap_i64
 from repro.ir.instructions import ICmpPred
 from repro.vm.interp import ExecutionResult

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from repro.workload.spec import FunctionSpec, ModuleSpec, ProjectSpec, seeded_rng
+from repro.workload.spec import FunctionSpec, ProjectSpec, seeded_rng
 
 
 class EditKind(Enum):

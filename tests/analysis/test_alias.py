@@ -2,7 +2,6 @@
 
 from repro.analysis.alias import AliasResult, classify_pointer, may_alias
 from repro.ir import (
-    AllocaInst,
     Function,
     FunctionSig,
     GlobalAddr,

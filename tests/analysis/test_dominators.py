@@ -7,7 +7,6 @@ from repro.ir import (
     IRBuilder,
     const_i1,
     const_i64,
-    parse_module,
 )
 from repro.analysis.dominators import DominatorTree
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backend.isel import select_function, select_module
+from repro.backend.isel import select_function
 from repro.backend.linker import LinkError, link
 from repro.backend.mir import MInst, MOp, MachineFunction, NUM_PHYS_REGS
 from repro.backend.objfile import ObjectFile, compile_module_to_object
@@ -58,8 +58,6 @@ class TestISel:
     def test_alloca_static_frame_layout(self):
         module = lower("int f() { int a[4]; int b[8]; a[0] = 1; b[0] = 2; return 0; }")
         mf = select_function(module.functions["f"])
-        frames = [i for i in mf.code if i.op is MOp.FRAME]
-        offsets = sorted(i.imm for i in frames)
         assert mf.frame_size >= 12
 
 

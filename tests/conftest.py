@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.frontend.ast import IncludeDirective, Program
+from repro.frontend.ast import Program
 from repro.frontend.includes import IncludeResolver, MemoryFileProvider
 from repro.frontend.parser import parse_source
-from repro.frontend.sema import Sema, analyze
+from repro.frontend.sema import analyze
 from repro.ir.structure import Module
 from repro.ir.verifier import verify_module
 from repro.lowering import lower_program

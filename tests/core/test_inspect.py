@@ -1,7 +1,7 @@
 """Compiler-state inspection tests."""
 
 from repro.core.inspect import describe_state, summarize_state
-from repro.core.state import CompilerState, pipeline_signature_of
+from repro.core.state import CompilerState
 from repro.core.stateful import StatefulPassManager
 from repro.passmanager import build_pipeline
 from tests.core.test_stateful import fresh_state, lower_src

@@ -1,6 +1,5 @@
 """Stateful pass manager tests — the core mechanism of the paper."""
 
-import pytest
 
 from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, pipeline_signature_of

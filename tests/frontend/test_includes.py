@@ -80,9 +80,9 @@ class TestResolution:
     def test_header_cache_reused_and_invalidated(self):
         files = {"h.mh": "int f();"}
         r = resolver(files)
-        unit1 = r.resolve("a.mc", 'include "h.mh";')
+        r.resolve("a.mc", 'include "h.mh";')
         cached = r._header_cache["h.mh"]
-        unit2 = r.resolve("b.mc", 'include "h.mh";')
+        r.resolve("b.mc", 'include "h.mh";')
         assert r._header_cache["h.mh"] is cached
         r.invalidate("h.mh")
         assert "h.mh" not in r._header_cache

@@ -1,9 +1,8 @@
 """Lexer tests."""
 
-import pytest
 
 from repro.frontend.diagnostics import DiagnosticEngine
-from repro.frontend.lexer import Lexer, TokenKind, tokenize
+from repro.frontend.lexer import TokenKind, tokenize
 from repro.frontend.source import SourceFile
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.frontend import ast
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.parser import parse_source
-from repro.frontend.types import ArrayType, BOOL, INT, VOID
+from repro.frontend.types import ArrayType, INT, VOID
 
 
 def parse(src: str) -> ast.Program:

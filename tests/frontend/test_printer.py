@@ -1,10 +1,9 @@
 """AST pretty-printer tests, including the parse∘print fixpoint property."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.frontend.parser import parse_source
-from repro.frontend.printer import format_source, print_expr, print_program
+from repro.frontend.printer import format_source, print_expr
 from repro.workload.generator import generate_project
 from repro.workload.spec import make_spec
 

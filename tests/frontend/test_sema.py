@@ -5,7 +5,7 @@ import pytest
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.parser import parse_source
 from repro.frontend.sema import analyze, eval_const_expr, wrap_int64, ConstEvalError
-from repro.frontend.types import BOOL, FunctionType, INT, VOID
+from repro.frontend.types import FunctionType, INT
 
 
 def sema_ok(src: str):
@@ -203,7 +203,7 @@ class TestConstEval:
 
     def test_truncating_division(self):
         program, _ = parse_source("t.mc", "const int A = (0-7) / 2; const int B = (0-7) % 2;")
-        sema = analyze(program)
+        analyze(program)
         values = {g.name: g.const_value for g in program.globals}
         assert values["A"] == -3  # C-style: trunc toward zero
         assert values["B"] == -1

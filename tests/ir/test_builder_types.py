@@ -12,7 +12,6 @@ from repro.ir import (
     Opcode,
     PTR,
     VOID,
-    const_i1,
     const_i64,
     verify_function,
 )
@@ -70,7 +69,7 @@ class TestBuilder:
 
     def test_phi_inserted_at_block_top(self):
         fn, b = self.make()
-        v = b.add(fn.args[0], const_i64(1))
+        b.add(fn.args[0], const_i64(1))
         phi = b.phi(I64)
         assert fn.entry.instructions[0] is phi
 

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.ir import (
-    BrInst,
     Function,
     FunctionSig,
     GlobalVariable,
     I64,
     IRBuilder,
     Module,
-    Opcode,
     PhiInst,
     RetInst,
     const_i64,
@@ -48,7 +46,6 @@ class TestBasicBlock:
         fn = make_fn()
         block = fn.add_block("b")
         ret = block.append(RetInst(const_i64(0)))
-        builder = IRBuilder(fn, block)
         phi = PhiInst(I64, "x")
         block.insert_before(ret, phi)
         assert block.instructions == [phi, ret]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.ir import (
     BinaryInst,
-    ConstantInt,
     GlobalAddr,
     I1,
     I64,

@@ -4,10 +4,8 @@ import pytest
 
 from repro.ir import (
     BinaryInst,
-    BrInst,
     Function,
     FunctionSig,
-    I1,
     I64,
     IRBuilder,
     Module,
@@ -20,7 +18,7 @@ from repro.ir import (
     verify_function,
     verify_module,
 )
-from repro.ir.instructions import CallInst, ICmpInst, ICmpPred
+from repro.ir.instructions import CallInst
 
 
 def simple_fn(module=None):
@@ -138,7 +136,6 @@ class TestTypesAndUses:
     def test_cbr_needs_i1(self):
         fn = simple_fn()
         a, b = fn.add_block("a"), fn.add_block("b")
-        builder = IRBuilder(fn, a)
         from repro.ir.instructions import CBrInst
 
         cbr = CBrInst(const_i1(True), b, b)
@@ -192,7 +189,7 @@ class TestModuleLevel:
         module.add_function(callee)
 
         caller = simple_fn(module)
-        b = IRBuilder(caller, caller.add_block("entry"))
+        caller.add_block("entry")
         wrong_sig = FunctionSig((I64, I64), I64)
         call = CallInst("g", wrong_sig, [const_i64(1), const_i64(2)], "r")
         caller.entry.append(call)

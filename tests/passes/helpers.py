@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.ir import Module, fingerprint_function, print_module, verify_module
-from repro.ir.structure import Function
 from repro.passes.base import FunctionPass, ModulePass
-from repro.vm.interp import ExecutionResult, run_module
+from repro.vm.interp import run_module
 from tests.conftest import lower
 
 

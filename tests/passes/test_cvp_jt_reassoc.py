@@ -140,11 +140,7 @@ define @f(i1 %c) -> i64 {
         verify_module(module)
 
     def test_threaded_behaviour_equivalent(self):
-        from repro.vm.interp import run_module
-
-        module = parse_module(self.THREADABLE)
         # i1 param: call with 1 then 0
-        before_t = run_module(module, entry="f")  # missing arg -> trap; use manual
         interp_before = []
         for arg in (1, 0):
             from repro.vm.interp import IRInterpreter

@@ -1,6 +1,6 @@
 """DCE, DSE, and ADCE tests."""
 
-from repro.ir import Opcode, parse_module, verify_module
+from repro.ir import Opcode, parse_module
 from repro.passes import (
     AggressiveDCEPass,
     DeadCodeEliminationPass,

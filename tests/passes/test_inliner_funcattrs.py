@@ -1,7 +1,6 @@
 """Inliner and function-attribute tests."""
 
-from repro.analysis.callgraph import CallGraph
-from repro.ir import Opcode, verify_module
+from repro.ir import Opcode
 from repro.passes import FunctionAttrsPass, InlinerPass, Mem2RegPass
 from repro.passes.funcattrs import get_pure_functions
 from tests.conftest import lower

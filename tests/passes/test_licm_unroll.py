@@ -1,7 +1,7 @@
 """LICM and loop-unrolling tests."""
 
 from repro.analysis.loops import find_natural_loops
-from repro.ir import Opcode, parse_module, verify_module
+from repro.ir import Opcode
 from repro.passes import (
     InstSimplifyPass,
     LICMPass,
@@ -53,7 +53,7 @@ class TestLICM:
             "int g = 7;\nint f(int n) { int s = 0; for (int i = 0; i < n; ++i) s += g; return s; }"
         )
         run_pass(Mem2RegPass(), module, "f")
-        stats = run_pass(LICMPass(), module, "f")
+        run_pass(LICMPass(), module, "f")
         fn = module.functions["f"]
         loop = find_natural_loops(fn)[0]
         loads_in_loop = [
@@ -155,7 +155,6 @@ class TestLoopUnroll:
         module, _ = self.unrolled(
             "int f() { int s = 0; for (int i = 0; i < 5; ++i) s += i; return s; }"
         )
-        fn = module.functions["f"]
         run_pass(SCCPPass(), module, "f")
         run_pass(InstSimplifyPass(), module, "f")
         run_pass(SimplifyCFGPass(), module, "f")

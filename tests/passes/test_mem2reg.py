@@ -1,6 +1,6 @@
 """mem2reg tests."""
 
-from repro.ir import Opcode, print_module
+from repro.ir import Opcode
 from repro.passes import Mem2RegPass
 from tests.conftest import lower
 from tests.passes.helpers import check_behaviour_preserved, check_dormancy_contract, run_pass

@@ -14,13 +14,12 @@ generated (but deterministic, seed-driven) MiniC programs:
    byte-identical IR and object files.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backend.linker import link
 from repro.backend.objfile import compile_module_to_object
 from repro.driver import Compiler, CompilerOptions
-from repro.frontend.includes import IncludeResolver, MemoryFileProvider
+from repro.frontend.includes import IncludeResolver
 from repro.frontend.sema import analyze
 from repro.ir import fingerprint_function, print_module, verify_module
 from repro.lowering import lower_program

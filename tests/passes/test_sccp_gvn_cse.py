@@ -1,10 +1,9 @@
 """SCCP, GVN, and local CSE tests."""
 
-from repro.ir import ConstantInt, Opcode, parse_module, verify_module
+from repro.ir import ConstantInt, Opcode, parse_module
 from repro.passes import (
     DeadCodeEliminationPass,
     GVNPass,
-    InstSimplifyPass,
     LocalCSEPass,
     Mem2RegPass,
     SCCPPass,
@@ -180,7 +179,7 @@ define @f(i64 %a, i1 %c) -> i64 {
     def test_loads_not_value_numbered(self):
         module = lower("int g = 1;\nint f() { int a = g; g = 2; int b = g; return a + b; }")
         run_pass(Mem2RegPass(), module, "f")
-        stats = run_pass(GVNPass(), module, "f")
+        run_pass(GVNPass(), module, "f")
         loads = [i for i in module.functions["f"].instructions() if i.opcode is Opcode.LOAD]
         assert len(loads) == 2  # GVN must not merge across the store
 

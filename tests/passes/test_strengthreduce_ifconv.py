@@ -1,6 +1,6 @@
 """Strength reduction and if-conversion tests."""
 
-from repro.ir import ConstantInt, Opcode, parse_module, verify_module
+from repro.ir import ConstantInt, Opcode, parse_module
 from repro.passes import (
     IfToSelectPass,
     InstSimplifyPass,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import reproc_main, reprobuild_main
-from repro.core.policies import SkipPolicy
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
 from repro.frontend.includes import MemoryFileProvider

@@ -1,6 +1,5 @@
 """Lowering tests: behaviour of every language construct via the interpreter."""
 
-import pytest
 
 from repro.ir import Opcode, print_module
 from tests.conftest import execute, lower

@@ -4,7 +4,7 @@ import pytest
 
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.includes import DiskFileProvider, MemoryFileProvider
-from repro.ir import VerifyError, const_i64
+from repro.ir import VerifyError
 from repro.passes.base import FunctionPass, PassStats
 from repro.passmanager import PassManager, build_pipeline
 from tests.conftest import execute, lower

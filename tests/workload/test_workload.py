@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.driver import CompilerOptions
 from repro.vm.machine import VirtualMachine
@@ -93,9 +92,11 @@ class TestEdits:
         after = generate_project(edited).files
         assert before["mod2.mc"] != after["mod2.mc"]
         # Stripping comment lines, the code is identical.
-        strip = lambda t: "\n".join(
-            l for l in t.splitlines() if not l.strip().startswith("//")
-        )
+        def strip(text):
+            return "\n".join(
+                line for line in text.splitlines() if not line.strip().startswith("//")
+            )
+
         assert strip(before["mod2.mc"]) == strip(after["mod2.mc"])
 
     def test_header_const_edit_changes_header(self):
