@@ -1,10 +1,10 @@
 """Figure 9 — ablation: bypass granularity.
 
 The paper's central claim is that *fine-grained* (function × pass)
-state beats the coarse all-or-nothing alternative: coarse state can
-only skip a function whose previous pipeline was entirely dormant,
-which freshly lowered functions rarely satisfy, while fine-grained
-state monetizes every dormant tail.
+state monetizes every dormant tail.  The coarse all-or-nothing arm is
+gone: it can only skip a function whose previous pipeline was entirely
+dormant, and position 0 (``mem2reg``) never is on freshly lowered IR
+(Figure 3), so it bypassed 0% of passes.  Fine is compared with none.
 """
 
 from bench_util import DEFAULT_SEED, MEDIUM_PRESET, publish, run_once
@@ -19,7 +19,7 @@ def test_fig9_granularity_ablation(benchmark):
         lambda: granularity_ablation(MEDIUM_PRESET, num_edits=6, seed=DEFAULT_SEED),
     )
     table = format_table(
-        ["policy", "incremental s", "pass work", "bypassed"],
+        ["variant", "incremental s", "pass work", "bypassed"],
         [
             [name, f"{s.total_time:.3f}", s.total_work, f"{s.bypass_ratio:.0%}"]
             for name, s in summary.items()
@@ -29,9 +29,8 @@ def test_fig9_granularity_ablation(benchmark):
     publish("fig9_granularity", table)
 
     fine = summary["fine (function x pass)"]
-    coarse = summary["coarse (function-level)"]
     none = summary["none (stateless)"]
-    # Shape: fine bypasses the most and does the least work.
-    assert fine.bypass_ratio > coarse.bypass_ratio
+    # Shape: fine bypasses passes and does less work than none.
+    assert fine.bypass_ratio > 0.0
     assert fine.total_work < none.total_work
     assert none.bypass_ratio == 0.0

@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 
 from repro import Compiler, CompilerOptions, MemoryFileProvider, VirtualMachine
 from repro.backend.linker import link
-from repro.core.statistics import summarize_log
+from repro.core.statistics import BypassStatistics
 
 SOURCE = """
 int collatz_steps(int n) {
@@ -56,7 +56,7 @@ def main() -> None:
     second = stateful.compile_source("collatz.mc", SOURCE)
 
     for label, res in (("first build ", first), ("second build", second)):
-        stats = summarize_log(res.events)
+        stats = BypassStatistics.from_metrics(res.metrics)
         print(f"{label}: {stats.executions:3d} pass runs, "
               f"{stats.dormant_executions:3d} dormant, "
               f"{stats.bypassed:3d} bypassed")

@@ -15,9 +15,58 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.driver import Compiler, CompilerOptions
+from repro.ir.structure import Function, Module
+from repro.passmanager.manager import PassManager
+from repro.passmanager.pipeline import build_pipeline
 from repro.workload.edits import apply_edit, random_edit_sequence
 from repro.workload.generator import generate_project
 from repro.workload.spec import make_preset
+
+
+@dataclass(frozen=True)
+class PassOutcome:
+    """One function pass that ran: did it change the IR?"""
+
+    module: str
+    function: str
+    position: int
+    pass_name: str
+    changed: bool
+
+
+class _RecordingPassManager(PassManager):
+    """A stateless pass manager that lists every function-pass outcome."""
+
+    def __init__(self, pipeline, outcomes: list[PassOutcome]):
+        super().__init__(pipeline)
+        self._outcomes = outcomes
+
+    def on_pass_executed(
+        self, fn: Function, module: Module, position: int, changed: bool
+    ) -> None:
+        name = self.pipeline.function_passes[position].name
+        self._outcomes.append(PassOutcome(module.name, fn.name, position, name, changed))
+
+
+class RecordingCompiler(Compiler):
+    """A stateless compiler whose compiles append to :attr:`outcomes`."""
+
+    def __init__(self, provider, opt_level: str):
+        super().__init__(provider, CompilerOptions(opt_level=opt_level))
+        self.outcomes: list[PassOutcome] = []
+
+    def _make_pass_manager(self) -> PassManager:
+        return _RecordingPassManager(
+            build_pipeline(self.options.opt_level), self.outcomes
+        )
+
+
+def _pass_outcomes(project, opt_level: str) -> list[PassOutcome]:
+    """Every function-pass outcome of a clean stateless build of ``project``."""
+    compiler = RecordingCompiler(project.provider(), opt_level)
+    for path in project.unit_paths:
+        compiler.compile_file(path)
+    return compiler.outcomes
 
 
 @dataclass
@@ -37,16 +86,11 @@ def clean_build_dormancy(
 ) -> list[DormancyRow]:
     """Per-pipeline-position dormancy on a clean build (Figure 3)."""
     project = generate_project(make_preset(preset, seed=seed))
-    compiler = Compiler(project.provider(), CompilerOptions(opt_level=opt_level))
     counts: dict[tuple[int, str], list[int]] = {}
-    for path in project.unit_paths:
-        result = compiler.compile_file(path)
-        for event in result.events.events:
-            if event.position < 0 or event.skipped:
-                continue
-            entry = counts.setdefault((event.position, event.pass_name), [0, 0])
-            entry[0] += 1
-            entry[1] += 1 if event.dormant else 0
+    for outcome in _pass_outcomes(project, opt_level):
+        entry = counts.setdefault((outcome.position, outcome.pass_name), [0, 0])
+        entry[0] += 1
+        entry[1] += 0 if outcome.changed else 1
     return [
         DormancyRow(name, position, executions, dormant)
         for (position, name), (executions, dormant) in sorted(counts.items())
@@ -88,15 +132,10 @@ def dormancy_persistence(
     result = PersistenceResult()
 
     def dormancy_map(project) -> dict[tuple[str, str, int], bool]:
-        compiler = Compiler(project.provider(), CompilerOptions(opt_level=opt_level))
-        dormant: dict[tuple[str, str, int], bool] = {}
-        for path in project.unit_paths:
-            compile_result = compiler.compile_file(path)
-            for event in compile_result.events.events:
-                if event.position < 0 or event.skipped:
-                    continue
-                dormant[(event.module, event.function, event.position)] = event.dormant
-        return dormant
+        return {
+            (o.module, o.function, o.position): not o.changed
+            for o in _pass_outcomes(project, opt_level)
+        }
 
     previous = dormancy_map(generate_project(spec))
     for edit in edits:

@@ -58,11 +58,7 @@ def overhead_report(
     executor: str = "process",
 ) -> list[OverheadRow]:
     presets = presets or ["tiny", "small", "medium", "large"]
-    build_options = (
-        BuildOptions(jobs=1, executor="serial")
-        if jobs <= 1
-        else BuildOptions(jobs=jobs, executor=executor)
-    )
+    build_options = BuildOptions(jobs=jobs, executor=executor)
     rows = []
     for preset in presets:
         project = generate_project(make_preset(preset, seed=seed))

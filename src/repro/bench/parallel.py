@@ -70,11 +70,7 @@ def parallel_sweep(
     serial_key = None
     points: list[ParallelPoint] = []
     for j in sorted(set(jobs)):
-        build_options = (
-            BuildOptions(jobs=1, executor="serial")
-            if j <= 1
-            else BuildOptions(jobs=j, executor=executor)
-        )
+        build_options = BuildOptions(jobs=j, executor=executor)
         best = None
         for _ in range(max(1, repeats)):
             report = IncrementalBuilder(

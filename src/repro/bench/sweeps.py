@@ -3,8 +3,10 @@
 - :func:`edit_size_sweep` — speedup as a function of how many functions
   one rebuild touches (Figure 7): the win shrinks as edits grow, since
   fewer passes can be bypassed.
-- :func:`granularity_ablation` — fine-grained (function×pass) vs coarse
-  (whole-function all-or-nothing) vs none (Figure 9).
+- :func:`granularity_ablation` — fine-grained (function×pass) bypassing
+  vs none (Figure 9).  The coarse whole-function arm was removed: it
+  needs every pass of a function dormant, and position 0 (``mem2reg``)
+  is never dormant on freshly lowered IR (Figure 3), so it bypassed 0%.
 - :func:`fingerprint_ablation` — canonical (name-insensitive) vs named
   fingerprints (Figure 10): both are safe; canonical bypasses more.
 """
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import BuildReport, IncrementalBuilder
-from repro.core.policies import SkipPolicy
 from repro.driver import CompilerOptions
 from repro.workload.edits import Edit, EditKind, apply_edit
 from repro.workload.generator import generate_project
@@ -99,17 +100,12 @@ def granularity_ablation(
     opt_level: str = "O2",
     seed: int = 1,
 ) -> dict[str, "TraceSummary"]:
-    """Figure 9: fine vs coarse vs none over an edit trace."""
+    """Figure 9: fine vs none over an edit trace."""
     from repro.bench.endtoend import run_edit_trace
 
     variants = {
         "none (stateless)": CompilerOptions(opt_level=opt_level, stateful=False),
-        "coarse (function-level)": CompilerOptions(
-            opt_level=opt_level, stateful=True, policy=SkipPolicy.COARSE
-        ),
-        "fine (function x pass)": CompilerOptions(
-            opt_level=opt_level, stateful=True, policy=SkipPolicy.FINE_GRAINED
-        ),
+        "fine (function x pass)": CompilerOptions(opt_level=opt_level, stateful=True),
     }
     traces = run_edit_trace(preset, variants, num_edits=num_edits, seed=seed)
     return {name: summarize_trace(result) for name, result in traces.items()}

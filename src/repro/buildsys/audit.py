@@ -18,9 +18,7 @@ bypassed**, and confirms the record told the truth:
 
 Each audited unit compiles against a throwaway
 :meth:`CompilerState.snapshot` of its own shard, so the stored shards
-never see audit-mode writes.  The audit only supports the
-fine-grained policy (coarse records summarize whole pipelines, so there
-is no per-pass record to check).  Expected steady-state result on a
+never see audit-mode writes.  Expected steady-state result on a
 healthy store: every sampled pair confirmed, zero mismatches — the
 EXPERIMENTS log records exactly that over the standard edit trace.
 """
@@ -32,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.buildsys.builddb import BuildDatabase, ShardError
-from repro.core.policies import SkipPolicy
 from repro.core.stateful import StatefulPassManager
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.diagnostics import CompileError
@@ -173,7 +170,6 @@ class _AuditingCompiler(Compiler):
         return AuditingStatefulPassManager(
             build_pipeline(self.options.opt_level),
             self.state,
-            policy=self.options.policy,
             result=self._result,
             unit=self._current_unit,
         )
@@ -205,8 +201,6 @@ def audit_fingerprint_collisions(
     """
     if not options.stateful:
         raise ValueError("collision audit requires a stateful build")
-    if options.policy is not SkipPolicy.FINE_GRAINED:
-        raise ValueError("collision audit requires the fine-grained policy")
     result = CollisionAuditResult()
     start = time.perf_counter()
     compiler = _AuditingCompiler(provider, options, None, result)

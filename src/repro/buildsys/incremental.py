@@ -12,11 +12,13 @@ variants plug into.  Per build it:
    decision is explainable afterwards (``reprobuild explain``);
 3. compiles dirty units through :class:`repro.driver.Compiler` —
    stateless or stateful per :class:`~repro.driver.CompilerOptions`,
-   serially or on a worker pool per :class:`~repro.buildsys.parallel.BuildOptions`
-   (``jobs > 1`` runs the make ``-j`` analogue); a stateful compile
-   reads only its own unit's dormancy-state shard from the build
-   database and leaves a new shard behind, so units never share state
-   and results are independent of scheduling;
+   in-process or on a worker pool per :class:`~repro.buildsys.parallel.BuildOptions`
+   (``jobs > 1`` runs the make ``-j`` analogue); either way each unit
+   comes back as a :class:`~repro.buildsys.parallel.UnitOutcome` and is
+   folded in by one method; a stateful compile reads only its own
+   unit's dormancy-state shard from the build database and leaves a new
+   shard behind, so units never share state and results are independent
+   of scheduling;
 4. reuses cached object JSON for up-to-date units;
 5. links everything into one runnable :class:`~repro.backend.linker.LinkedImage`.
 
@@ -30,9 +32,10 @@ and a :class:`~repro.obs.metrics.MetricsRegistry`.  Spans cover the
 whole hierarchy (build → phase → unit → pass pipeline → pass); on the
 worker-pool path each worker's spans travel back in its picklable
 outcome and are re-based onto the driver timeline with worker
-attribution.  Every layer (scanner, pass managers, compiler state)
-reports into the one registry, whose snapshot lands in
-:attr:`BuildReport.metrics`.
+attribution.  The scanner reports into the build's registry directly;
+each unit's pass manager and shard report into that unit's registry,
+which its outcome merges in, so ``-j 1`` and ``-j N`` count the same.
+The registry's snapshot lands in :attr:`BuildReport.metrics`.
 
 Failure handling is transactional per unit: when a dirty unit fails to
 compile, every unit that already compiled successfully is still
@@ -45,19 +48,24 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Iterable, Iterator
 
 from repro.backend.linker import LinkedImage, link
 from repro.backend.objfile import ObjectFile
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.deps import DependencyScanner, DependencySnapshot
 from repro.buildsys.explain import rebuild_reason
-from repro.buildsys.parallel import BuildOptions, UnitOutcome, compile_units
+from repro.buildsys.parallel import (
+    BuildOptions,
+    UnitOutcome,
+    compile_unit,
+    compile_units,
+)
 from repro.buildsys.report import BuildReport, UnitBuildResult
 from repro.core.state import CompilerState
 from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
-from repro.frontend.diagnostics import CompileError
-from repro.frontend.includes import FileProvider, IncludeError
+from repro.frontend.includes import FileProvider
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, WORKER_PHASE, NullBuildProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer
@@ -157,9 +165,7 @@ class IncrementalBuilder:
             len(report.up_to_date),
         )
 
-        jobs = 1
-        if self.build_options.executor != "serial":
-            jobs = min(self.build_options.resolved_jobs(), max(1, len(dirty)))
+        jobs = min(self.build_options.resolved_jobs(), max(1, len(dirty)))
         report.jobs = jobs
         self.metrics.set_gauge("build.units", len(self.unit_paths))
         self.metrics.set_gauge("build.dirty", len(dirty))
@@ -169,13 +175,15 @@ class IncrementalBuilder:
         objects: dict[str, ObjectFile] = {}
         phase_start = time.perf_counter()
         if jobs <= 1:
+            # cProfile cannot nest: the in-process compile is profiled
+            # as one driver phase rather than per unit.
             with self.profiler.phase("compile"):
-                error = self._compile_serial(
-                    compiler, snapshots, dirty, report, objects
+                error = self._merge_outcomes(
+                    self._compile_in_process(compiler, dirty), snapshots, report, objects
                 )
         else:
-            error = self._compile_parallel(
-                compiler, snapshots, dirty, report, objects, jobs
+            error = self._merge_outcomes(
+                self._compile_on_pool(compiler, dirty, jobs), snapshots, report, objects
             )
         report.compile_phase_time = time.perf_counter() - phase_start
         if dirty:
@@ -232,77 +240,35 @@ class IncrementalBuilder:
 
     # -- compile strategies -------------------------------------------------
 
-    def _compile_serial(
-        self,
-        compiler: Compiler,
-        snapshots: dict[str, DependencySnapshot],
-        dirty: list[str],
-        report: BuildReport,
-        objects: dict[str, ObjectFile],
-    ) -> Exception | None:
-        """The classic in-process loop (``-j 1``), one shard per unit.
+    def _compile_in_process(
+        self, compiler: Compiler, dirty: list[str]
+    ) -> Iterator[UnitOutcome]:
+        """``-j 1``: one unit at a time with the driver's own compiler.
 
-        Returns the first failure instead of raising so the caller can
-        finish the database bookkeeping before propagating it.
+        Reusing ``compiler`` keeps parsed headers cached across units
+        and sends spans straight to the driver's tracer.  Outcomes are
+        yielded as they are produced, so only one unit's products are
+        alive at a time; compilation stops at the first failure.
         """
         for path in dirty:
             if self.options.stateful:
                 compiler.state = self._unit_state(compiler, path)
-                compiler.state.attach_metrics(self.metrics)
-            start = time.perf_counter()
-            try:
-                result = compiler.compile_file(path)
-            except (CompileError, IncludeError) as exc:
-                return exc
-            wall = time.perf_counter() - start
+            outcome = compile_unit(compiler, path)
+            yield outcome
+            if outcome.failed:
+                return
 
-            stats = BypassStatistics.from_metrics(result.metrics)
-            self.metrics.merge(result.metrics, source="driver")
-            report.bypass.merge(stats)
-            report.compiled.append(
-                UnitBuildResult(
-                    path=path,
-                    wall_time=wall,
-                    pass_work=result.pass_work,
-                    stats=stats,
-                    fingerprint_time=(
-                        result.overhead.fingerprint_time if result.overhead else 0.0
-                    ),
-                    fingerprint_count=(
-                        result.overhead.fingerprint_count if result.overhead else 0
-                    ),
-                )
-            )
-            objects[path] = result.object_file
-            self.db.record_unit(
-                snapshots[path],
-                result.object_file.to_json(),
-                stats=stats.to_dict(),
-                wall_time=wall,
-                shard=compiler.state.finish_compile() if self.options.stateful else None,
-            )
-        return None
+    def _compile_on_pool(
+        self, compiler: Compiler, dirty: list[str], jobs: int
+    ) -> Iterator[UnitOutcome]:
+        """``-j N``: every dirty unit on a worker pool, in unit order.
 
-    def _compile_parallel(
-        self,
-        compiler: Compiler,
-        snapshots: dict[str, DependencySnapshot],
-        dirty: list[str],
-        report: BuildReport,
-        objects: dict[str, ObjectFile],
-        jobs: int,
-    ) -> Exception | None:
-        """Worker-pool compilation with deterministic unit-order merging.
-
-        Each worker gets its unit's shard and returns the new one;
-        outcomes are folded back in translation-unit order, so object
-        records, report entries and shards are independent of completion
-        order, which is what makes a ``-j N`` build reproducible.
+        Each worker gets its unit's shard and returns the new one.
+        Units abandoned after an earlier failure have no outcome.
         """
         shards = {}
         if self.options.stateful:
             shards = {path: self._unit_state(compiler, path) for path in dirty}
-
         outcomes = compile_units(
             self.provider,
             self.options,
@@ -313,17 +279,29 @@ class IncrementalBuilder:
             trace=self.tracer.enabled,
             profile=self.profiler.enabled,
         )
+        return (outcomes[path] for path in dirty if path in outcomes)
 
+    def _merge_outcomes(
+        self,
+        outcomes: Iterable[UnitOutcome],
+        snapshots: dict[str, DependencySnapshot],
+        report: BuildReport,
+        objects: dict[str, ObjectFile],
+    ) -> Exception | None:
+        """Fold outcomes in translation-unit order; return the first failure.
+
+        Object records, report entries and shards are therefore
+        independent of completion order, which is what makes a ``-j N``
+        build reproducible.  The failure is returned, not raised, so the
+        caller can finish the database bookkeeping before propagating it.
+        """
         error: Exception | None = None
-        for path in dirty:
-            outcome = outcomes.get(path)
-            if outcome is None:  # abandoned after an earlier unit failed
-                continue
+        for outcome in outcomes:
             if outcome.failed:
                 if error is None:  # earliest failure in schedule order wins
                     error = self._outcome_error(outcome)
                 continue
-            self._merge_outcome(outcome, snapshots[path], report, objects)
+            self._merge_outcome(outcome, snapshots[outcome.path], report, objects)
         return error
 
     @staticmethod
@@ -341,7 +319,7 @@ class IncrementalBuilder:
         report: BuildReport,
         objects: dict[str, ObjectFile],
     ) -> None:
-        """Fold one successful worker outcome into the build products."""
+        """Fold one successful outcome into the build products."""
         report.bypass.merge(outcome.stats)
         if outcome.metrics is not None:
             self.metrics.merge(outcome.metrics, source=outcome.worker)
@@ -364,7 +342,9 @@ class IncrementalBuilder:
                 worker=outcome.worker,
             )
         )
-        objects[outcome.path] = ObjectFile.from_json(outcome.object_json)
+        objects[outcome.path] = outcome.object_file or ObjectFile.from_json(
+            outcome.object_json
+        )
         self.db.record_unit(
             snapshot,
             outcome.object_json,

@@ -1,27 +1,25 @@
-"""Parallel compilation of dirty translation units (``reprobuild -j``).
+"""Unit compilation for the build driver, in-process or on a worker pool.
 
-The make/ninja lever the serial driver left on the table: once the
-scheduler knows which units are dirty, their compilations are
+Once the scheduler knows which units are dirty, their compilations are
 independent — each stateful compile reads and writes only its own
-unit's :class:`~repro.core.state.CompilerState` shard.  This module
-runs them on a :mod:`concurrent.futures` worker pool:
+unit's :class:`~repro.core.state.CompilerState` shard.  Every dirty
+unit goes through :func:`compile_unit`, which returns a
+:class:`UnitOutcome`: the object file, the unit's metrics registry and
+its new shard.  The build driver folds outcomes in translation-unit
+order, so a build's products do not depend on completion order.
 
-1. the build driver loads each dirty unit's shard from the build
-   database and advances it one compile tick;
-2. each task ships one unit's path and shard to a worker, which
-   compiles against that shard, collects its garbage and serializes it;
-3. each unit's result travels back as a picklable :class:`UnitOutcome`
-   carrying the object JSON, the bypass statistics and the new shard's
-   JSON;
-4. the driver records outcomes in translation-unit order —
-   deterministic regardless of completion order.
+At ``-j 1`` the driver calls :func:`compile_unit` in-process with its
+own :class:`~repro.driver.Compiler`, one unit at a time.  At ``-j N``
+:func:`compile_units` runs a :mod:`concurrent.futures` pool (the make
+``-j`` analogue): the driver loads each dirty unit's shard and advances
+it one compile tick, each task compiles one unit against its shard with
+a fresh ``Compiler``, and the outcome travels back picklable, the object
+file as JSON.
 
 Executors: ``process`` (the default; real CPU parallelism for this
-CPU-bound compiler), ``thread`` (no pickling, used automatically as a
+CPU-bound compiler) and ``thread`` (no pickling, used automatically as a
 fallback when process pools are unavailable — e.g. sandboxes without
-fork), and ``serial`` (force the classic in-process loop).  ``jobs=1``
-always takes the serial path and is behavior-identical to the
-pre-parallel builder.
+fork).
 
 Workers return *data*, not exceptions: a failed unit comes back as an
 outcome with diagnostics attached (``CompileError`` does not survive
@@ -43,6 +41,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 
+from repro.backend.objfile import ObjectFile
 from repro.core.state import CompilerState, SerializedShard
 from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
@@ -57,7 +56,7 @@ from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
 JOBS_ENV_VAR = "REPRO_BUILD_JOBS"
 EXECUTOR_ENV_VAR = "REPRO_BUILD_EXECUTOR"
 
-_EXECUTORS = ("process", "thread", "serial")
+_EXECUTORS = ("process", "thread")
 
 
 @dataclass
@@ -71,7 +70,7 @@ class BuildOptions:
 
     #: Maximum concurrent unit compilations; ``None`` = CPU count.
     jobs: int | None = 1
-    #: ``process`` | ``thread`` | ``serial``.
+    #: Worker pool kind for ``jobs > 1``: ``process`` | ``thread``.
     executor: str = "process"
 
     def __post_init__(self) -> None:
@@ -107,12 +106,15 @@ class UnitOutcome:
 
     Everything the build driver needs and nothing it doesn't: the
     object file as JSON (the same representation the build DB caches),
-    pre-summarized statistics instead of the raw event log, and the
+    statistics summarized from the unit's metrics registry, and the
     unit's new shard in its stored form.
     """
 
     path: str
     object_json: str = ""
+    #: The decoded object, handed over by in-process compiles; pool
+    #: outcomes carry ``object_json`` alone.
+    object_file: ObjectFile | None = None
     stats: BypassStatistics = field(default_factory=BypassStatistics)
     pass_work: int = 0
     wall_time: float = 0.0
@@ -120,7 +122,8 @@ class UnitOutcome:
     fingerprint_count: int = 0
     #: The unit's new dormancy-state shard (``None`` for stateless builds).
     shard: SerializedShard | None = None
-    #: Which worker compiled it: "main", "pid-<n>", or a thread name.
+    #: Which worker compiled it: "main" (in-process), "pid-<n>", or a
+    #: thread name.
     worker: str = "main"
     #: The unit's metrics registry, merged into the build's by the driver.
     metrics: MetricsRegistry | None = None
@@ -178,32 +181,22 @@ def _worker_name() -> str:
 
 
 def compile_unit(
-    provider: FileProvider,
-    options: CompilerOptions,
-    state: CompilerState | None,
+    compiler: Compiler,
     path: str,
     *,
     worker: str = "main",
-    trace: bool = False,
     profile: bool = False,
 ) -> UnitOutcome:
-    """Compile one unit against its own shard; never raises.
+    """Compile one unit against ``compiler.state``; never raises.
 
-    ``state`` is the unit's shard (``None`` for stateless builds); the
-    compile updates it in place, collects its garbage, and the outcome
-    carries it back serialized.  No other unit reads or writes it, so
-    the outcome is independent of scheduling.
-
-    With ``trace=True`` the unit compiles under its own
-    :class:`~repro.obs.trace.Tracer`; the spans (and the wall-clock
-    epoch needed to re-base them) ship back inside the outcome.  With
+    ``compiler.state`` is the unit's shard (``None`` for stateless
+    builds); the compile updates it in place, collects its garbage, and
+    the outcome carries it back serialized.  No other unit reads or
+    writes it, so the outcome is independent of scheduling.  With
     ``profile=True`` the compile runs under ``cProfile`` and the
     callers-stripped stats table ships back in ``outcome.profile``.
     """
     outcome = UnitOutcome(path=path, worker=worker)
-    tracer = Tracer(track=worker) if trace else NULL_TRACER
-    compiler = Compiler(provider, options, state=state, tracer=tracer)
-
     profiler = None
     if profile:
         import cProfile
@@ -231,32 +224,42 @@ def compile_unit(
 
         outcome.profile = profile_stats_table(profiler)
 
+    metrics = result.metrics
+    outcome.object_file = result.object_file
     outcome.object_json = result.object_file.to_json()
-    outcome.stats = BypassStatistics.from_metrics(result.metrics)
-    outcome.metrics = result.metrics
+    outcome.stats = BypassStatistics.from_metrics(metrics)
+    outcome.metrics = metrics
     outcome.pass_work = result.pass_work
-    if result.overhead is not None:
-        outcome.fingerprint_time = result.overhead.fingerprint_time
-        outcome.fingerprint_count = result.overhead.fingerprint_count
-    if state is not None:
-        outcome.shard = state.finish_compile()
-    if trace:
-        outcome.spans = tracer.spans
-        outcome.epoch_wall = tracer.epoch_wall
+    fingerprint = metrics.timings.get("fingerprint.time")
+    outcome.fingerprint_time = fingerprint.total if fingerprint else 0.0
+    outcome.fingerprint_count = metrics.count("fingerprint.count")
+    if compiler.state is not None:
+        outcome.shard = compiler.state.finish_compile()
     return outcome
 
 
 def _compile_unit_task(path: str, state: CompilerState | None) -> UnitOutcome:
-    """Pool entry point: compile ``path`` against ``state`` using the worker context."""
-    return compile_unit(
-        _WORKER_CONTEXT["provider"],
-        _WORKER_CONTEXT["options"],
-        state,
-        path,
-        worker=_worker_name(),
-        trace=_WORKER_CONTEXT.get("trace", False),
-        profile=_WORKER_CONTEXT.get("profile", False),
+    """Pool entry point: compile ``path`` against ``state`` using the worker context.
+
+    Each task builds its own :class:`Compiler`: thread workers share
+    the context, so a shared compiler would race on ``.state``.
+    """
+    worker = _worker_name()
+    tracer = Tracer(track=worker) if _WORKER_CONTEXT["trace"] else NULL_TRACER
+    compiler = Compiler(
+        _WORKER_CONTEXT["provider"], _WORKER_CONTEXT["options"],
+        state=state, tracer=tracer,
     )
+    outcome = compile_unit(
+        compiler, path, worker=worker, profile=_WORKER_CONTEXT["profile"]
+    )
+    # The object crosses the pool as JSON; spans ship back with the
+    # wall-clock epoch the driver needs to re-base them.
+    outcome.object_file = None
+    if tracer.enabled:
+        outcome.spans = tracer.spans
+        outcome.epoch_wall = tracer.epoch_wall
+    return outcome
 
 
 # -- the driver side ---------------------------------------------------------

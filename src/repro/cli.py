@@ -49,7 +49,6 @@ from repro.backend.linker import link
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
-from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState
 from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
@@ -73,10 +72,6 @@ def _common_compiler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stateful", action="store_true",
         help="enable the stateful compiler (dormant-pass bypassing)",
-    )
-    parser.add_argument(
-        "--policy", choices=[p.value for p in SkipPolicy], default="fine",
-        help="bypass granularity for --stateful (default fine)",
     )
     parser.add_argument(
         "--fingerprint-mode", choices=["canonical", "named"], default="canonical",
@@ -105,7 +100,6 @@ def _options_from_args(args: argparse.Namespace) -> CompilerOptions:
     return CompilerOptions(
         opt_level=f"O{args.opt_level}",
         stateful=args.stateful,
-        policy=SkipPolicy.from_name(args.policy),
         fingerprint_mode=args.fingerprint_mode,
     )
 
@@ -188,10 +182,11 @@ def reproc_main(argv: list[str] | None = None) -> int:
             f"bypassed={stats.bypassed} work={stats.work_executed}",
             file=sys.stderr,
         )
-        if result.overhead:
+        if options.stateful:
+            fingerprint_ms = 1000 * result.metrics.timing("fingerprint.time").total
             print(
-                f"state overhead: {result.overhead.fingerprint_count} fingerprints "
-                f"({result.overhead.fingerprint_time * 1000:.1f} ms)",
+                f"state overhead: {result.metrics.count('fingerprint.count')} "
+                f"fingerprints ({fingerprint_ms:.1f} ms)",
                 file=sys.stderr,
             )
 
@@ -352,10 +347,10 @@ def reprobuild_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "-j", "--jobs", type=int, default=None,
-        help="concurrent compile jobs (default: CPU count; -j 1 = classic serial)",
+        help="concurrent compile jobs (default: CPU count; -j 1 = in-process, no pool)",
     )
     parser.add_argument(
-        "--executor", choices=["process", "thread", "serial"], default="process",
+        "--executor", choices=["process", "thread"], default="process",
         help="worker pool kind for -j > 1 (default process)",
     )
     parser.add_argument("--run", action="store_true", help="execute the linked image")

@@ -11,26 +11,22 @@ builds and bypasses provably-dormant passes:
   garbage-collected.
 - :mod:`repro.core.stateful` — ``StatefulPassManager``: consults the
   state before each function pass, bypassing recorded-dormant ones.
-- :mod:`repro.core.policies` — skip-granularity policies (the paper's
-  fine-grained function×pass vs the coarse whole-function baseline).
-- :mod:`repro.core.statistics` — dormancy/bypass accounting.
+- :mod:`repro.core.statistics` — the dormancy/bypass ledger, derived
+  from the pass manager's metrics registry.
 """
 
 from repro.core.inspect import StateSummary, describe_state, summarize_state
-from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, DormancyRecord, STATE_SCHEMA_VERSION
 from repro.core.stateful import StatefulPassManager
-from repro.core.statistics import BypassStatistics, summarize_log
+from repro.core.statistics import BypassStatistics
 
 __all__ = [
     "StateSummary",
     "describe_state",
     "summarize_state",
-    "SkipPolicy",
     "CompilerState",
     "DormancyRecord",
     "STATE_SCHEMA_VERSION",
     "StatefulPassManager",
     "BypassStatistics",
-    "summarize_log",
 ]

@@ -17,16 +17,16 @@ scratch when the (position, fingerprint) pair has never been seen.
 In the steady state a function costs exactly one fingerprint
 computation, zero re-hashes, and zero dormant-pass executions.
 
-Bookkeeping lives in :class:`StatefulPassManager.overhead` so the
-experiments can report the cost of statefulness separately.
+The cost of statefulness is reported into the pass manager's metrics
+registry beside the pass counters: ``fingerprint.count`` and the
+``fingerprint.time`` timing, ``state.lookups`` and
+``state.records_written``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState
 from repro.ir.fingerprint import fingerprint_function
 from repro.ir.structure import Function, Module
@@ -35,20 +35,6 @@ from repro.obs.trace import NULL_TRACER, NullTracer
 from repro.passes.funcattrs import get_pure_functions
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import PassPipeline
-
-#: Synthetic "position" for the coarse whole-pipeline records.
-_COARSE_POSITION = -2
-
-
-@dataclass
-class StatefulOverhead:
-    """Cost of maintaining state, reported by the overhead experiment."""
-
-    fingerprint_count: int = 0
-    fingerprint_work: int = 0  # instructions hashed
-    fingerprint_time: float = 0.0
-    lookups: int = 0
-    records_written: int = 0
 
 
 class StatefulPassManager(PassManager):
@@ -59,7 +45,6 @@ class StatefulPassManager(PassManager):
         pipeline: PassPipeline,
         state: CompilerState,
         *,
-        policy: SkipPolicy = SkipPolicy.FINE_GRAINED,
         verify_each: bool = False,
         tracer: NullTracer = NULL_TRACER,
         metrics: MetricsRegistry | None = None,
@@ -68,14 +53,9 @@ class StatefulPassManager(PassManager):
             pipeline, verify_each=verify_each, tracer=tracer, metrics=metrics
         )
         self.state = state
-        self.policy = policy
-        self.overhead = StatefulOverhead()
         self._fp: str = ""
         #: The module's pure-function set, part of every fingerprint.
         self._pure: frozenset[str] = frozenset()
-        self._function_had_changes = False
-        self._coarse_skip_all = False
-        self._entry_fp: str = ""
         #: Record found by should_skip for the position about to run.
         self._pending_record = None
 
@@ -84,16 +64,9 @@ class StatefulPassManager(PassManager):
     def _compute_fingerprint(self, fn: Function) -> str:
         start = time.perf_counter()
         fp = fingerprint_function(fn, mode=self.state.fingerprint_mode, pure=self._pure)
-        elapsed = time.perf_counter() - start
-        self.overhead.fingerprint_time += elapsed
-        self.overhead.fingerprint_count += 1
-        self.overhead.fingerprint_work += fn.num_instructions
         self.metrics.inc("fingerprint.count")
-        self.metrics.observe("fingerprint.time", elapsed)
+        self.metrics.observe("fingerprint.time", time.perf_counter() - start)
         return fp
-
-    def fingerprint_for_event(self, fn: Function) -> str:
-        return self._fp
 
     # -- hooks ------------------------------------------------------------------
 
@@ -102,22 +75,8 @@ class StatefulPassManager(PassManager):
         # passes only read the pure set, never write it.
         self._pure = get_pure_functions(module)
         self._fp = self._compute_fingerprint(fn)
-        self._entry_fp = self._fp
-        self._function_had_changes = False
-        self._coarse_skip_all = False
-        if self.policy is SkipPolicy.COARSE:
-            record = self.state.lookup(_COARSE_POSITION, self._fp)
-            self.overhead.lookups += 1
-            self.metrics.inc("state.lookups")
-            self._coarse_skip_all = record is not None and record.dormant
 
     def should_skip(self, fn: Function, module: Module, position: int) -> bool:
-        self._pending_record = None
-        if self.policy is SkipPolicy.NONE:
-            return False
-        if self.policy is SkipPolicy.COARSE:
-            return self._coarse_skip_all
-        self.overhead.lookups += 1
         self.metrics.inc("state.lookups")
         record = self.state.lookup(position, self._fp)
         self._pending_record = record
@@ -128,7 +87,6 @@ class StatefulPassManager(PassManager):
     ) -> None:
         fingerprint_in = self._fp
         if changed:
-            self._function_had_changes = True
             record = self._pending_record
             if record is not None and not record.dormant:
                 # Chain reuse: this (position, fingerprint) was seen before
@@ -138,16 +96,4 @@ class StatefulPassManager(PassManager):
                 return
             self._fp = self._compute_fingerprint(fn)
         self.state.remember(position, fingerprint_in, not changed, self._fp)
-        self.overhead.records_written += 1
         self.metrics.inc("state.records_written")
-
-    def end_function(self, fn: Function, module: Module) -> None:
-        if self.policy is SkipPolicy.COARSE and not self._coarse_skip_all:
-            self.state.remember(
-                _COARSE_POSITION,
-                self._entry_fp,
-                not self._function_had_changes,
-                self._fp,
-            )
-            self.overhead.records_written += 1
-            self.metrics.inc("state.records_written")

@@ -2,21 +2,16 @@
 
 :class:`BypassStatistics` is the paper's headline ledger: executed vs
 dormant vs bypassed function-pass runs, with a per-pass breakdown.
-Since the observability layer landed it is a *consumer* of the metrics
-registry the pass manager reports into — :meth:`from_metrics` — rather
-than a parallel accounting path; :func:`summarize_log` remains for
-re-deriving the same numbers from a raw event log.
+It is derived from the metrics registry the pass manager reports into
+(:meth:`BypassStatistics.from_metrics`), the one record of pass
+outcomes.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
-from repro.passmanager.events import PassEventLog
-
-logger = logging.getLogger(__name__)
 
 #: Counter-name prefix for per-pass breakdowns in a metrics registry.
 PASS_METRIC_PREFIX = "pass."
@@ -88,9 +83,10 @@ class BypassStatistics:
         """Derive the ledger from pass-manager counters.
 
         The registry is the source of truth the pass manager writes
-        (``passes.*`` totals, ``pass.<name>.<counter>`` breakdowns);
-        this produces numbers identical to :func:`summarize_log` over
-        the same compilation's event log.
+        (``passes.*`` totals, ``pass.<name>.<counter>`` breakdowns).
+        Module-prelude passes count under ``passes.module_*`` and stay
+        outside the ledger: the dormancy mechanism covers function
+        passes only.
         """
         stats = cls(
             executions=metrics.count("passes.executed"),
@@ -110,32 +106,3 @@ class BypassStatistics:
             per[key] += counter.value
         return stats
 
-
-def summarize_log(log: PassEventLog) -> BypassStatistics:
-    """Fold one event log into bypass statistics (function passes only)."""
-    stats = BypassStatistics()
-    for event in log.events:
-        if event.position < 0:
-            continue  # module prelude: outside the dormancy mechanism
-        per = stats.by_pass.setdefault(
-            event.pass_name, {"executed": 0, "dormant": 0, "bypassed": 0, "work": 0}
-        )
-        if event.skipped:
-            stats.bypassed += 1
-            per["bypassed"] += 1
-            continue
-        stats.executions += 1
-        stats.work_executed += event.work
-        per["executed"] += 1
-        per["work"] += event.work
-        if event.dormant:
-            stats.dormant_executions += 1
-            per["dormant"] += 1
-    logger.debug(
-        "summarized %d events: executed=%d dormant=%d bypassed=%d",
-        len(log.events),
-        stats.executions,
-        stats.dormant_executions,
-        stats.bypassed,
-    )
-    return stats

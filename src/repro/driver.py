@@ -2,8 +2,9 @@
 
 This is the programmatic equivalent of invoking ``reproc``: it runs the
 frontend, lowering, the (possibly stateful) pass pipeline, and the
-backend, returning the object file plus rich timing/event information
-the build system and experiments consume.
+backend, returning the object file plus the compile's metrics registry
+(pass outcomes, stage timings, statefulness cost) the build system and
+experiments consume.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.backend.objfile import ObjectFile, compile_module_to_object
-from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, pipeline_signature_of
-from repro.core.stateful import StatefulOverhead, StatefulPassManager
+from repro.core.stateful import StatefulPassManager
 from repro.frontend.includes import FileProvider, IncludeResolver
 from repro.frontend.sema import analyze
 from repro.ir.structure import Module
@@ -22,7 +22,6 @@ from repro.ir.verifier import verify_module
 from repro.lowering import lower_program
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer
-from repro.passmanager.events import PassEventLog
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import PassPipeline, build_pipeline
 
@@ -33,7 +32,6 @@ class CompilerOptions:
 
     opt_level: str = "O2"
     stateful: bool = False
-    policy: SkipPolicy = SkipPolicy.FINE_GRAINED
     fingerprint_mode: str = "canonical"
     #: Verify IR after every pass (testing only; large slowdown).
     verify_each: bool = False
@@ -42,35 +40,23 @@ class CompilerOptions:
 
 
 @dataclass
-class CompileTimings:
-    """Wall-clock seconds per stage for one translation unit."""
-
-    frontend: float = 0.0
-    lowering: float = 0.0
-    passes: float = 0.0
-    backend: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.frontend + self.lowering + self.passes + self.backend
-
-
-@dataclass
 class CompileResult:
     """Everything produced by compiling one translation unit."""
 
     module: Module
     object_file: ObjectFile
-    events: PassEventLog
-    timings: CompileTimings
     headers: list[str] = field(default_factory=list)
-    overhead: StatefulOverhead | None = None
-    #: The pass manager's accounting for this unit (always present).
+    #: The compile's one record: pass outcomes (``passes.*``,
+    #: ``pass.<name>.*``), stage timings (``compile.<stage>_time``) and,
+    #: when stateful, fingerprint and state-record cost.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
     def pass_work(self) -> int:
-        return self.events.total_work
+        """Deterministic pass cost, module-prelude passes included."""
+        return self.metrics.count("passes.work") + self.metrics.count(
+            "passes.module_work"
+        )
 
 
 class Compiler:
@@ -112,7 +98,6 @@ class Compiler:
             return StatefulPassManager(
                 build_pipeline(self.options.opt_level),
                 self.state,
-                policy=self.options.policy,
                 verify_each=self.options.verify_each,
                 tracer=self.tracer,
             )
@@ -124,53 +109,48 @@ class Compiler:
 
     def compile_source(self, name: str, text: str) -> CompileResult:
         """Compile one translation unit's text to an object file."""
-        timings = CompileTimings()
         unit_start = time.perf_counter()
+        manager = self._make_pass_manager()
+        metrics = manager.metrics
+        if self.state is not None:
+            # Record churn and GC land beside the pass counters.
+            self.state.attach_metrics(metrics)
 
         start = time.perf_counter()
         unit = self.resolver.resolve(name, text)
         sema = analyze(unit.merged)
-        timings.frontend = time.perf_counter() - start
-        self.tracer.add("frontend", "phase", start, timings.frontend, unit=name)
+        self._stage_done("frontend", start, name, metrics)
 
         start = time.perf_counter()
         module = lower_program(unit.merged, sema, name)
-        timings.lowering = time.perf_counter() - start
-        self.tracer.add("lowering", "phase", start, timings.lowering, unit=name)
+        self._stage_done("lowering", start, name, metrics)
 
-        manager = self._make_pass_manager()
         start = time.perf_counter()
-        events = manager.run(module)
-        timings.passes = time.perf_counter() - start
-        self.tracer.add("passes", "phase", start, timings.passes, unit=name)
+        manager.run(module)
+        self._stage_done("passes", start, name, metrics)
 
         if self.options.verify_output:
             verify_module(module)
 
         start = time.perf_counter()
         object_file = compile_module_to_object(module)
-        timings.backend = time.perf_counter() - start
-        self.tracer.add("backend", "phase", start, timings.backend, unit=name)
+        self._stage_done("backend", start, name, metrics)
         self.tracer.add(
             name, "unit", unit_start, time.perf_counter() - unit_start
         )
-
-        metrics = manager.metrics
-        metrics.observe("compile.frontend_time", timings.frontend)
-        metrics.observe("compile.lowering_time", timings.lowering)
-        metrics.observe("compile.passes_time", timings.passes)
-        metrics.observe("compile.backend_time", timings.backend)
-
-        overhead = manager.overhead if isinstance(manager, StatefulPassManager) else None
         return CompileResult(
             module=module,
             object_file=object_file,
-            events=events,
-            timings=timings,
             headers=list(unit.headers),
-            overhead=overhead,
             metrics=metrics,
         )
+
+    def _stage_done(
+        self, stage: str, start: float, unit: str, metrics: MetricsRegistry
+    ) -> None:
+        elapsed = time.perf_counter() - start
+        self.tracer.add(stage, "phase", start, elapsed, unit=unit)
+        metrics.observe(f"compile.{stage}_time", elapsed)
 
     def compile_file(self, path: str) -> CompileResult:
         """Compile a translation unit read through the file provider."""

@@ -129,7 +129,7 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry", *, source: str | None = None) -> None:
         """Fold another registry in: counters/timings add, gauges LWW.
 
-        ``source`` names where ``other`` came from (``"driver"`` for
+        ``source`` names where ``other`` came from (``"main"`` for
         in-process compiles, ``"pid-<n>"`` / a thread name for pool
         workers).  When given, every timing in ``other`` is *also*
         accumulated under ``source.<source>.<name>``, so worker

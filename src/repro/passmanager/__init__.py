@@ -1,6 +1,5 @@
-"""Pass pipeline management and execution tracing."""
+"""Pass pipeline management and execution."""
 
-from repro.passmanager.events import PassEvent, PassEventLog
 from repro.passmanager.manager import PassManager
 from repro.passmanager.pipeline import (
     PassPipeline,
@@ -11,8 +10,6 @@ from repro.passmanager.pipeline import (
 )
 
 __all__ = [
-    "PassEvent",
-    "PassEventLog",
     "PassManager",
     "PassPipeline",
     "build_pipeline",

@@ -1,4 +1,4 @@
-"""Pass manager: executes a pipeline over a module, recording events.
+"""Pass manager: executes a pipeline over a module.
 
 This is the *stateless* manager — every pass runs on every function,
 exactly what a conventional compiler does.  The stateful variant
@@ -6,13 +6,14 @@ exactly what a conventional compiler does.  The stateful variant
 overrides the single decision point :meth:`should_skip` /
 :meth:`on_pass_executed`.
 
-Observability: alongside the event log the manager reports into a
+Accounting: the manager's one record of pass outcomes is a
 :class:`~repro.obs.metrics.MetricsRegistry` (``passes.*`` totals and
 ``pass.<name>.*`` breakdowns — the source
-:meth:`~repro.core.statistics.BypassStatistics.from_metrics` consumes)
-and emits pass / pass-pipeline spans into a
-:class:`~repro.obs.trace.Tracer`.  Both default to no-ops; the null
-tracer costs one no-op call per executed pass.
+:meth:`~repro.core.statistics.BypassStatistics.from_metrics` consumes).
+A consumer that needs per-function outcomes overrides
+:meth:`on_pass_executed` (the dormancy experiments do).  Pass and
+pass-pipeline spans go to a :class:`~repro.obs.trace.Tracer`, a no-op by
+default that costs one call per executed pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.ir.structure import Function, Module
 from repro.ir.verifier import verify_module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer
-from repro.passmanager.events import PassEvent, PassEventLog
 from repro.passmanager.pipeline import PassPipeline
 
 logger = logging.getLogger(__name__)
@@ -59,7 +59,6 @@ class PassManager:
         self.verify_each = verify_each
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.log = PassEventLog()
 
     # -- hooks the stateful subclass overrides -----------------------------
 
@@ -75,18 +74,9 @@ class PassManager:
     ) -> None:
         """Called after the pass at ``position`` ran on ``fn``."""
 
-    def end_function(self, fn: Function, module: Module) -> None:
-        """Called after the function pipeline finishes on ``fn``."""
-
-    def fingerprint_for_event(self, fn: Function) -> str:
-        """Fingerprint recorded in events (stateful manager overrides
-
-        to reuse its cached value; stateless manager records none)."""
-        return ""
-
     # -- execution -----------------------------------------------------------
 
-    def run(self, module: Module) -> PassEventLog:
+    def run(self, module: Module) -> None:
         """Run prelude + function pipeline over ``module``."""
         for module_pass in self.pipeline.module_prelude:
             start = time.perf_counter()
@@ -97,54 +87,25 @@ class PassManager:
             self.tracer.add(
                 module_pass.name, "pass", start, elapsed, function="<module>"
             )
-            self.log.record(
-                PassEvent(
-                    module=module.name,
-                    function="<module>",
-                    position=-1,
-                    pass_name=module_pass.name,
-                    changed=stats.changed,
-                    skipped=False,
-                    work=stats.work,
-                    wall_time=elapsed,
-                    detail=tuple(sorted(stats.detail.items())),
-                )
-            )
             if self.verify_each:
                 verify_module(module)
 
         for fn in sorted(module.defined_functions(), key=lambda f: f.name):
             self._run_function_pipeline(fn, module)
         logger.debug(
-            "module %s: %d pass events (%d executed, %d bypassed)",
+            "module %s: %d passes executed, %d bypassed",
             module.name,
-            len(self.log.events),
-            len(self.log.executed()),
-            len(self.log.skipped()),
+            self.metrics.count("passes.executed"),
+            self.metrics.count("passes.bypassed"),
         )
-        return self.log
 
     def _run_function_pipeline(self, fn: Function, module: Module) -> None:
         pipeline_start = time.perf_counter() if self.tracer.enabled else 0.0
         self.begin_function(fn, module)
         for position, function_pass in enumerate(self.pipeline.function_passes):
-            fingerprint = self.fingerprint_for_event(fn)
             if self.should_skip(fn, module, position):
                 self.metrics.inc("passes.bypassed")
                 self.metrics.inc(f"pass.{function_pass.name}.bypassed")
-                self.log.record(
-                    PassEvent(
-                        module=module.name,
-                        function=fn.name,
-                        position=position,
-                        pass_name=function_pass.name,
-                        changed=False,
-                        skipped=True,
-                        work=0,
-                        wall_time=0.0,
-                        fingerprint_in=fingerprint,
-                    )
-                )
                 continue
             start = time.perf_counter()
             stats = function_pass.run_on_function(fn, module)
@@ -167,23 +128,8 @@ class PassManager:
                 changed=stats.changed,
                 work=stats.work,
             )
-            self.log.record(
-                PassEvent(
-                    module=module.name,
-                    function=fn.name,
-                    position=position,
-                    pass_name=function_pass.name,
-                    changed=stats.changed,
-                    skipped=False,
-                    work=stats.work,
-                    wall_time=elapsed,
-                    fingerprint_in=fingerprint,
-                    detail=tuple(sorted(stats.detail.items())),
-                )
-            )
             if self.verify_each:
                 verify_module(module)
-        self.end_function(fn, module)
         if self.tracer.enabled:
             self.tracer.add(
                 f"pipeline {fn.name}",

@@ -185,11 +185,8 @@ def run_differential_trace(
 
         variants: dict[int, tuple[BuildDatabase, object]] = {}
         for j in jobs:
-            build_options = BuildOptions(
-                jobs=j, executor="serial" if j <= 1 else executor
-            )
             report = IncrementalBuilder(
-                provider, units, stateful, dbs[j], build_options
+                provider, units, stateful, dbs[j], BuildOptions(jobs=j, executor=executor)
             ).build()
             result.builds += 1
             variants[j] = (dbs[j], report)

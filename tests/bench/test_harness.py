@@ -82,11 +82,7 @@ class TestRunners:
 
     def test_granularity_ablation(self):
         summary = granularity_ablation("tiny", num_edits=2, seed=1)
-        assert set(summary) == {
-            "none (stateless)",
-            "coarse (function-level)",
-            "fine (function x pass)",
-        }
+        assert set(summary) == {"none (stateless)", "fine (function x pass)"}
         fine = summary["fine (function x pass)"]
         none = summary["none (stateless)"]
         assert fine.bypass_ratio > none.bypass_ratio == 0.0

@@ -8,7 +8,6 @@ from repro.buildsys.audit import audit_fingerprint_collisions
 from repro.buildsys.builddb import BuildDatabase
 from repro.buildsys.incremental import IncrementalBuilder
 from repro.buildsys.parallel import BuildOptions
-from repro.core.policies import SkipPolicy
 from repro.driver import CompilerOptions
 from repro.frontend.includes import MemoryFileProvider
 
@@ -35,7 +34,7 @@ FILES = {
     ),
 }
 UNITS = ["extra.mc", "main.mc", "util.mc"]
-SERIAL = BuildOptions(jobs=1, executor="serial")
+SERIAL = BuildOptions(jobs=1)
 
 
 def build_history(files=FILES, **options) -> BuildDatabase:
@@ -131,11 +130,6 @@ class TestPreconditions:
         db = build_history()
         with pytest.raises(ValueError, match="stateful"):
             run_audit(db, stateful=False)
-
-    def test_coarse_policy_rejected(self):
-        db = build_history()
-        with pytest.raises(ValueError, match="fine-grained"):
-            run_audit(db, policy=SkipPolicy.COARSE)
 
     def test_incompatible_state_rejected(self):
         db = build_history(opt_level="O1")

@@ -42,7 +42,7 @@ UNITS = ["extra.mc", "main.mc", "util.mc"]
 #: fork, so the suite stays fast and sandbox-proof; one process test
 #: covers the pickling path.
 THREADS4 = BuildOptions(jobs=4, executor="thread")
-SERIAL = BuildOptions(jobs=1, executor="serial")
+SERIAL = BuildOptions(jobs=1)
 
 
 def build(
@@ -69,6 +69,8 @@ class TestBuildOptions:
     def test_rejects_unknown_executor(self):
         with pytest.raises(ValueError):
             BuildOptions(executor="fibers")
+        with pytest.raises(ValueError):  # -j 1 is the in-process path
+            BuildOptions(executor="serial")
 
     def test_jobs_none_means_cpu_count(self):
         assert BuildOptions(jobs=None).resolved_jobs() == (os.cpu_count() or 1)
@@ -136,6 +138,38 @@ class TestDeterminism:
         assert reports["serial"][0].jobs == 1 and reports["parallel"][0].jobs == 2
         assert reports["serial"][1] == reports["parallel"][1]
         assert reports["serial"][0].metrics["gauges"]["state.gc_reclaimed_last"] > 0
+
+
+class TestMetricsParity:
+    """``-j 1`` and ``-j N`` report the same counters with the same counts."""
+
+    DETERMINISTIC = ("passes.", "pass.", "fingerprint.count", "state.lookups", "state.records_")
+
+    def trace_counters(self, build_options):
+        db = BuildDatabase()
+        edits = [
+            FILES,
+            dict(FILES, **{"util.mh": FILES["util.mh"].replace("3", "5")}),
+            dict(FILES, **{"main.mc": FILES["main.mc"].replace("14", "21")}),
+        ]
+        return [
+            build(files, db, build_options=build_options, stateful=True).metrics["counters"]
+            for files in edits
+        ]
+
+    def test_state_churn_counted_at_every_job_count(self):
+        serial = self.trace_counters(SERIAL)
+        for build_options in (
+            BuildOptions(jobs=2, executor="thread"),
+            BuildOptions(jobs=2, executor="process"),
+        ):
+            parallel = self.trace_counters(build_options)
+            for before, after in zip(serial, parallel):
+                assert sorted(before) == sorted(after), build_options
+                assert "state.records_added" in after and "state.records_gced" in after
+                for name, value in before.items():
+                    if name.startswith(self.DETERMINISTIC):
+                        assert after[name] == value, (build_options, name)
 
 
 class TestReportAttribution:
@@ -217,23 +251,23 @@ class TestFailure:
 
 class TestCompileUnitHelper:
     def test_outcome_round_trips_object_and_shard(self):
-        provider = MemoryFileProvider(FILES)
-        options = CompilerOptions(stateful=True)
-        state = Compiler(provider, options).state
-        outcome = compile_unit(provider, options, state, "util.mc", worker="w0")
+        compiler = Compiler(MemoryFileProvider(FILES), CompilerOptions(stateful=True))
+        state = compiler.state
+        outcome = compile_unit(compiler, "util.mc", worker="w0")
         assert not outcome.failed and outcome.worker == "w0"
+        assert outcome.object_file.to_json() == outcome.object_json
         assert outcome.shard == state.to_shard()
         assert outcome.shard.records == state.num_records > 0
         assert CompilerState.from_json(outcome.shard.json).records == state.records
 
     def test_stateless_outcome_carries_no_shard(self):
-        provider = MemoryFileProvider(FILES)
-        outcome = compile_unit(provider, CompilerOptions(), None, "util.mc")
+        compiler = Compiler(MemoryFileProvider(FILES), CompilerOptions())
+        outcome = compile_unit(compiler, "util.mc")
         assert not outcome.failed and outcome.shard is None
 
     def test_outcome_captures_compile_error(self):
         provider = MemoryFileProvider({"bad.mc": "int main() { return nope(); }\n"})
-        outcome = compile_unit(provider, CompilerOptions(), None, "bad.mc")
+        outcome = compile_unit(Compiler(provider), "bad.mc")
         assert outcome.failed and outcome.error_kind == "compile"
         assert outcome.diagnostics
         with pytest.raises(CompileError):
@@ -243,7 +277,7 @@ class TestCompileUnitHelper:
         from repro.frontend.includes import IncludeError
 
         provider = MemoryFileProvider({"bad.mc": 'include "gone.mh";\nint main() { return 0; }\n'})
-        outcome = compile_unit(provider, CompilerOptions(), None, "bad.mc")
+        outcome = compile_unit(Compiler(provider), "bad.mc")
         assert outcome.failed and outcome.error_kind == "include"
         with pytest.raises(IncludeError):
             outcome.raise_error()

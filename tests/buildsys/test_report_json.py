@@ -29,7 +29,7 @@ def build(files=FILES, db=None, build_options=None, **options):
         UNITS,
         CompilerOptions(**options),
         db if db is not None else BuildDatabase(),
-        build_options or BuildOptions(jobs=1, executor="serial"),
+        build_options or BuildOptions(jobs=1),
     ).build()
 
 

@@ -17,7 +17,7 @@ from repro.driver import Compiler, CompilerOptions
 from repro.frontend.includes import MemoryFileProvider
 from repro.workload import Edit, EditKind, apply_edit, generate_project, make_preset
 
-SERIAL = BuildOptions(jobs=1, executor="serial")
+SERIAL = BuildOptions(jobs=1)
 
 #: The first nine edits of the benchmark's ``medium-mixed-j1`` trace for
 #: seed 31 (``perfbench/editbench.py`` ``edit_trace``).

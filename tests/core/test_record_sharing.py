@@ -6,9 +6,11 @@ different translation units — share records, so the second one bypasses
 its dormant passes on its *first* ever compile.
 """
 
-from repro.core.statistics import summarize_log
+from repro.core.stateful import StatefulPassManager
+from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.includes import MemoryFileProvider
+from repro.passmanager.pipeline import build_pipeline
 
 
 IDENTICAL_BODY = """
@@ -18,10 +20,24 @@ IDENTICAL_BODY = """
 """
 
 
-def stateful_compiler():
-    return Compiler(
-        MemoryFileProvider({}), CompilerOptions(opt_level="O2", stateful=True)
-    )
+class RecordingCompiler(Compiler):
+    """A stateful compiler that lists the (function, position) runs it executed."""
+
+    def __init__(self):
+        super().__init__(
+            MemoryFileProvider({}), CompilerOptions(opt_level="O2", stateful=True)
+        )
+        self.ran: list[tuple[str, int]] = []
+
+    def _make_pass_manager(self):
+        ran = self.ran
+
+        class Recording(StatefulPassManager):
+            def on_pass_executed(self, fn, module, position, changed):
+                super().on_pass_executed(fn, module, position, changed)
+                ran.append((fn.name, position))
+
+        return Recording(build_pipeline("O2"), self.state)
 
 
 class TestRecordSharing:
@@ -30,38 +46,35 @@ class TestRecordSharing:
             f"int first(int x) {{ {IDENTICAL_BODY} }}\n"
             f"int second(int x) {{ {IDENTICAL_BODY} }}\n"
         )
-        compiler = stateful_compiler()
+        compiler = RecordingCompiler()
         compiler.state.begin_build()
-        result = compiler.compile_source("twins.mc", src)
-        per_function = {}
-        for event in result.events.events:
-            if event.position < 0:
-                continue
-            entry = per_function.setdefault(event.function, [0, 0])
-            entry[0 if event.skipped else 1] += 1
+        compiler.compile_source("twins.mc", src)
+        positions = build_pipeline("O2").num_function_passes
+        ran = {
+            name: sum(1 for fn, _ in compiler.ran if fn == name)
+            for name in ("first", "second")
+        }
         # Functions run alphabetically: "first" populates the records,
         # "second" (identical IR) bypasses its dormant tail immediately.
-        assert per_function["first"][0] == 0          # nothing to bypass yet
-        assert per_function["second"][0] > 0          # shared records hit
+        assert ran["first"] == positions              # nothing to bypass yet
+        assert ran["second"] < positions              # shared records hit
 
     def test_identical_functions_share_records_across_units(self):
-        compiler = stateful_compiler()
+        compiler = RecordingCompiler()
         compiler.state.begin_build()
         a = compiler.compile_source("a.mc", f"int fa(int x) {{ {IDENTICAL_BODY} }}\n")
         b = compiler.compile_source("b.mc", f"int fb(int x) {{ {IDENTICAL_BODY} }}\n")
-        stats_a, stats_b = summarize_log(a.events), summarize_log(b.events)
+        stats_a = BypassStatistics.from_metrics(a.metrics)
+        stats_b = BypassStatistics.from_metrics(b.metrics)
         assert stats_a.bypassed == 0
         assert stats_b.bypassed > 0  # first-ever compile of b.mc still bypasses
 
     def test_different_bodies_do_not_share(self):
-        compiler = stateful_compiler()
+        compiler = RecordingCompiler()
         compiler.state.begin_build()
         compiler.compile_source("a.mc", "int fa(int x) { return x + 1; }\n")
-        result = compiler.compile_source("b.mc", "int fb(int x) { return x * 3 - 7; }\n")
+        compiler.compile_source("b.mc", "int fb(int x) { return x * 3 - 7; }\n")
         # Different IR: entry fingerprints differ, so no position-0 hit
         # (later positions may still coincide once both reduce to small
         # canonical forms — that is correct sharing, not a bug).
-        first_positions = [
-            e for e in result.events.events if e.position == 0 and e.function == "fb"
-        ]
-        assert all(not e.skipped for e in first_positions)
+        assert ("fb", 0) in compiler.ran

@@ -1,10 +1,9 @@
 """Stateful pass manager tests — the core mechanism of the paper."""
 
 
-from repro.core.policies import SkipPolicy
 from repro.core.state import CompilerState, pipeline_signature_of
 from repro.core.stateful import StatefulPassManager
-from repro.core.statistics import summarize_log
+from repro.core.statistics import BypassStatistics
 from repro.driver import Compiler, CompilerOptions
 from repro.frontend.includes import IncludeResolver, MemoryFileProvider
 from repro.frontend.sema import analyze
@@ -38,20 +37,19 @@ def fresh_state() -> CompilerState:
     )
 
 
-def stateful_run(state, src=SRC, policy=SkipPolicy.FINE_GRAINED):
+def stateful_run(state, src=SRC):
     module = lower_src(src)
-    manager = StatefulPassManager(build_pipeline("O2"), state, policy=policy)
-    log = manager.run(module)
+    manager = StatefulPassManager(build_pipeline("O2"), state)
+    manager.run(module)
     verify_module(module)
-    return module, log, manager
+    return module, BypassStatistics.from_metrics(manager.metrics), manager
 
 
 class TestBypassing:
     def test_first_build_executes_everything(self):
         state = fresh_state()
         state.begin_build()
-        _, log, _ = stateful_run(state)
-        stats = summarize_log(log)
+        _, stats, _ = stateful_run(state)
         assert stats.bypassed == 0
         assert stats.executions > 0
         assert state.num_records == stats.executions
@@ -59,10 +57,9 @@ class TestBypassing:
     def test_second_build_bypasses_dormant(self):
         state = fresh_state()
         state.begin_build()
-        _, log1, _ = stateful_run(state)
+        _, s1, _ = stateful_run(state)
         state.begin_build()
-        _, log2, _ = stateful_run(state)
-        s1, s2 = summarize_log(log1), summarize_log(log2)
+        _, s2, _ = stateful_run(state)
         assert s2.bypassed == s1.dormant_executions
         assert s2.executions == s1.executions - s1.dormant_executions
         assert s2.dormant_executions == 0  # everything dormant got skipped
@@ -85,7 +82,7 @@ class TestBypassing:
         module = lower_src()
         functions = len(module.defined_functions())
         # Chain reuse: exactly one hash per function at pipeline entry.
-        assert manager.overhead.fingerprint_count == functions
+        assert manager.metrics.count("fingerprint.count") == functions
 
     def test_edited_function_reruns_only_its_passes(self):
         state = fresh_state()
@@ -93,92 +90,29 @@ class TestBypassing:
         stateful_run(state)
         state.begin_build()
         edited = SRC.replace("x * 2 + 1", "x * 3 + 1")
-        _, log, _ = stateful_run(state, edited)
-        per_function = {}
-        for event in log.events:
-            if event.position < 0:
-                continue
-            entry = per_function.setdefault(event.function, [0, 0])
-            entry[0] += 0 if event.skipped else 1
-            entry[1] += 1
+        _, stats, _ = stateful_run(state, edited)
         # helper changed -> most of its passes execute; untouched
         # functions keep their bypass level... (helper was inlined, so
         # callers' IR changed too; at minimum nothing is fully re-run
-        # without need: total executed < total scheduled)
-        executed = sum(e[0] for e in per_function.values())
-        scheduled = sum(e[1] for e in per_function.values())
-        assert executed < scheduled
+        # without need: some scheduled runs are bypassed)
+        assert stats.executions > 0 and stats.bypassed > 0
 
-
-class TestPolicies:
-    def test_none_policy_never_skips(self):
-        state = fresh_state()
-        state.begin_build()
-        stateful_run(state, policy=SkipPolicy.NONE)
-        state.begin_build()
-        _, log, _ = stateful_run(state, policy=SkipPolicy.NONE)
-        assert summarize_log(log).bypassed == 0
-
-    def test_coarse_policy_is_all_or_nothing_per_function(self):
-        state = fresh_state()
-        state.begin_build()
-        _, log1, _ = stateful_run(state, policy=SkipPolicy.COARSE)
-        state.begin_build()
-        _, log2, _ = stateful_run(state, policy=SkipPolicy.COARSE)
-
-        def by_function(log):
-            out = {}
-            for event in log.events:
-                if event.position < 0:
-                    continue
-                entry = out.setdefault(event.function, {"executed": 0, "skipped": 0, "changed": 0})
-                if event.skipped:
-                    entry["skipped"] += 1
-                else:
-                    entry["executed"] += 1
-                    entry["changed"] += 1 if event.changed else 0
-            return out
-
-        first, second = by_function(log1), by_function(log2)
-        for fn_name, counters in second.items():
-            # All-or-nothing: a function is either fully skipped or fully run.
-            assert counters["executed"] == 0 or counters["skipped"] == 0
-            # Skipped exactly when the previous pipeline was fully dormant.
-            was_fully_dormant = first[fn_name]["changed"] == 0
-            assert (counters["skipped"] > 0) == was_fully_dormant
-
-    def test_coarse_skips_whole_pipeline_for_stable_ir(self):
-        # Feed the same *already optimized* module through the pipeline
-        # twice: the second pass over it is fully dormant, so a third
-        # run under coarse policy skips everything.
+    def test_stable_ir_is_fully_bypassed(self):
+        # Feed the same module back through the pipeline until it
+        # reaches its fixpoint: once every pass is dormant on it, the
+        # next run bypasses every function pass.
         state = fresh_state()
         module = lower_src()
-        # Iterate until the pipeline reaches its fixpoint and coarse
-        # records cover every function; then everything is skipped.
         for build in range(5):
             state.begin_build()
-            manager = StatefulPassManager(
-                build_pipeline("O2"), state, policy=SkipPolicy.COARSE
-            )
-            log = manager.run(module)
-            stats = summarize_log(log)
+            manager = StatefulPassManager(build_pipeline("O2"), state)
+            manager.run(module)
+            stats = BypassStatistics.from_metrics(manager.metrics)
             if stats.executions == 0:
                 assert stats.bypassed > 0
                 break
         else:
-            raise AssertionError("coarse policy never reached full bypass")
-
-    def test_fine_beats_coarse_on_bypass_count(self):
-        state_fine, state_coarse = fresh_state(), fresh_state()
-        state_fine.begin_build()
-        stateful_run(state_fine, policy=SkipPolicy.FINE_GRAINED)
-        state_coarse.begin_build()
-        stateful_run(state_coarse, policy=SkipPolicy.COARSE)
-        state_fine.begin_build()
-        _, log_f, _ = stateful_run(state_fine, policy=SkipPolicy.FINE_GRAINED)
-        state_coarse.begin_build()
-        _, log_c, _ = stateful_run(state_coarse, policy=SkipPolicy.COARSE)
-        assert summarize_log(log_f).bypassed > summarize_log(log_c).bypassed
+            raise AssertionError("stable IR never reached full bypass")
 
 
 class TestSafety:

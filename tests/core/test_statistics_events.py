@@ -1,72 +1,42 @@
-"""Statistics and pass-event log tests."""
+"""Bypass statistics: derived from the pass manager's metrics registry."""
 
-from repro.core.statistics import BypassStatistics, summarize_log
-from repro.passmanager.events import PassEvent, PassEventLog
+from repro.core.statistics import BypassStatistics
+from repro.driver import Compiler, CompilerOptions
+from repro.frontend.includes import MemoryFileProvider
+from repro.obs.metrics import MetricsRegistry
 from repro.passmanager.pipeline import build_pipeline
 
-
-def event(**kwargs):
-    defaults = dict(
-        module="m",
-        function="f",
-        position=0,
-        pass_name="p",
-        changed=False,
-        skipped=False,
-        work=10,
-        wall_time=0.001,
-    )
-    defaults.update(kwargs)
-    return PassEvent(**defaults)
-
-
-class TestPassEventLog:
-    def test_dormant_classification(self):
-        assert event(changed=False, skipped=False).dormant
-        assert not event(changed=True).dormant
-        assert not event(skipped=True).dormant
-
-    def test_aggregates(self):
-        log = PassEventLog()
-        log.record(event(pass_name="a", changed=True, work=5))
-        log.record(event(pass_name="a", changed=False, work=3))
-        log.record(event(pass_name="b", skipped=True, work=0))
-        assert len(log.executed()) == 2
-        assert len(log.skipped()) == 1
-        assert len(log.dormant()) == 1
-        assert log.total_work == 8
-        assert log.dormancy_by_pass() == {"a": (1, 2)}
-        assert log.work_by_pass() == {"a": 8, "b": 0}
-
-    def test_extend(self):
-        a, b = PassEventLog(), PassEventLog()
-        a.record(event())
-        b.record(event())
-        a.extend(b)
-        assert len(a.events) == 2
+SOURCE = (
+    "int helper(int x) { int y = x * 2; return y + 1; }\n"
+    "int main() { print(helper(20)); return 0; }\n"
+)
 
 
 class TestSummarize:
     def test_module_prelude_excluded(self):
-        log = PassEventLog()
-        log.record(event(position=-1, pass_name="inline", changed=True))
-        log.record(event(position=0, changed=False))
-        stats = summarize_log(log)
-        assert stats.executions == 1
-        assert "inline" not in stats.by_pass
+        result = Compiler(MemoryFileProvider({}), CompilerOptions()).compile_source(
+            "unit.mc", SOURCE
+        )
+        stats = BypassStatistics.from_metrics(result.metrics)
+        prelude = [p.name for p in build_pipeline("O2").module_prelude]
+        assert prelude and not set(prelude) & set(stats.by_pass)
+        assert result.metrics.count("passes.module_executed") == len(prelude)
+        # Pass work counts the prelude; the ledger does not.
+        assert result.pass_work == stats.work_executed + result.metrics.count(
+            "passes.module_work"
+        )
 
     def test_ratios(self):
-        log = PassEventLog()
-        log.record(event(position=0, changed=False))
-        log.record(event(position=1, changed=True))
-        log.record(event(position=2, skipped=True))
-        log.record(event(position=3, skipped=True))
-        stats = summarize_log(log)
+        metrics = MetricsRegistry()
+        metrics.inc("passes.executed", 2)
+        metrics.inc("passes.dormant", 1)
+        metrics.inc("passes.bypassed", 2)
+        stats = BypassStatistics.from_metrics(metrics)
         assert stats.dormancy_ratio == 0.5
         assert stats.bypass_ratio == 0.5
 
     def test_empty(self):
-        stats = summarize_log(PassEventLog())
+        stats = BypassStatistics.from_metrics(MetricsRegistry())
         assert stats.dormancy_ratio == 0.0 and stats.bypass_ratio == 0.0
 
     def test_merge(self):
@@ -122,24 +92,21 @@ class TestMergeEdgeCases:
 
 
 class TestFromMetrics:
-    def test_equivalent_to_summarize_log(self):
-        """Registry counters and the event log describe one compilation
-        identically — the registry path is the summary's new source of
-        truth, so they must never drift."""
-        from repro.driver import Compiler, CompilerOptions
-        from repro.frontend.includes import MemoryFileProvider
+    def test_agrees_with_recorded_outcomes(self):
+        """The registry and the ``on_pass_executed`` hook see the same runs."""
+        from repro.bench.dormancy import RecordingCompiler
 
-        source = (
-            "int helper(int x) { int y = x * 2; return y + 1; }\n"
-            "int main() { print(helper(20)); return 0; }\n"
+        compiler = RecordingCompiler(MemoryFileProvider({}), "O2")
+        result = compiler.compile_source("unit.mc", SOURCE)
+        stats = BypassStatistics.from_metrics(result.metrics)
+        assert stats.executions == len(compiler.outcomes) > 0
+        assert stats.dormant_executions == sum(
+            not o.changed for o in compiler.outcomes
         )
-        provider = MemoryFileProvider({})
-        for stateful in (False, True):
-            compiler = Compiler(provider, CompilerOptions(stateful=stateful))
-            result = compiler.compile_source("unit.mc", source)
-            from_log = summarize_log(result.events)
-            from_registry = BypassStatistics.from_metrics(result.metrics)
-            assert from_registry.to_dict() == from_log.to_dict()
+        for name, counters in stats.by_pass.items():
+            ran = [o for o in compiler.outcomes if o.pass_name == name]
+            assert counters["executed"] == len(ran)
+            assert counters["dormant"] == sum(not o.changed for o in ran)
 
     def test_empty_registry(self):
         from repro.obs.metrics import MetricsRegistry

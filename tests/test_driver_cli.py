@@ -17,7 +17,8 @@ class TestDriver:
         compiler = Compiler(MemoryFileProvider({}), CompilerOptions())
         result = compiler.compile_source("t.mc", SRC)
         assert result.object_file.functions["main"]
-        assert result.timings.total > 0
+        for stage in ("frontend", "lowering", "passes", "backend"):
+            assert result.metrics.timings[f"compile.{stage}_time"].count == 1
         assert result.pass_work > 0
 
     def test_compile_error_propagates(self):
@@ -33,13 +34,18 @@ class TestDriver:
 
     def test_stateless_has_no_overhead_record(self):
         compiler = Compiler(MemoryFileProvider({}), CompilerOptions(stateful=False))
-        assert compiler.compile_source("t.mc", SRC).overhead is None
+        metrics = compiler.compile_source("t.mc", SRC).metrics
+        assert not any(
+            name.startswith(("fingerprint.", "state.")) for name in metrics.counters
+        )
+        assert "fingerprint.time" not in metrics.timings
 
     def test_stateful_reports_overhead(self):
         compiler = Compiler(MemoryFileProvider({}), CompilerOptions(stateful=True))
-        result = compiler.compile_source("t.mc", SRC)
-        assert result.overhead is not None
-        assert result.overhead.fingerprint_count > 0
+        metrics = compiler.compile_source("t.mc", SRC).metrics
+        assert metrics.count("fingerprint.count") > 0
+        assert metrics.timings["fingerprint.time"].count == metrics.count("fingerprint.count")
+        assert metrics.count("state.lookups") > 0
 
     def test_opt_levels_produce_different_sizes(self):
         src = """
